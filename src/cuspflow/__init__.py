@@ -1,9 +1,12 @@
 """Cusp-excursion statistics on Teichmueller discs of square-tiled surfaces.
 
-Simulates geodesic rays through the horoball families cut out by short
-cylinder cores, accumulates trimmed sums of excursions and twists, and
-estimates area Siegel-Veech constants against two independent Monte Carlo
-oracles.
+Follows the geodesic ray from i toward a direction theta through the
+Teichmueller disc of an origami, walking the Stern-Brocot tree toward theta
+with exact integer hit tests.  Every excursion into a cylinder horoball is
+recorded with its entry and exit times, excursion length and twist
+(``excursions``); ``contfrac`` holds the trimmed sum over those records and
+an independent Gauss-map expansion, and ``hyperbolic`` the float kernel the
+tests check the engine against.
 """
 
 __version__ = "0.1.0"

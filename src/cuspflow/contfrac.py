@@ -20,9 +20,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 
-from .hyperbolic import Horoball
-from .scalar import INFINITY
-
 SAFETY_FLOOR_BITS = 64
 
 
@@ -78,16 +75,6 @@ class PrecisionReal:
     def to_mpf(self, prec: int):
         with mpmath.mp.workprec(prec):
             return mpmath.mpf(self.num) / self.den
-
-
-def sample_uniform(bits: int, rng) -> PrecisionReal:
-    """Uniform draw from (0, 1) at the given dyadic resolution."""
-    if bits <= SAFETY_FLOOR_BITS:
-        raise ValueError(f"bit budget {bits} is not above the safety floor")
-    num = 0
-    while num == 0:
-        num = rng.getrandbits(bits)
-    return PrecisionReal(num, 1 << bits, bits)
 
 
 def _step_loss(num: int, den: int) -> int:
@@ -169,29 +156,6 @@ def convergent_pairs(coeffs: Iterable[int]):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
         yield p, q
-
-
-def ford_horoball(frac, eps: float) -> Horoball:
-    """Ford horoball at p/q for the flat torus: diameter eps/q^2, weight 1.
-
-    ``eps`` is the squared-length cutoff; at eps = 1 these are the
-    classical Ford circles with pairwise disjoint interiors.  The pair
-    (1, 0) denotes the cusp at infinity (region y >= 1/eps).
-    """
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    if isinstance(frac, tuple):
-        p, q = frac
-    else:
-        frac = Fraction(frac)
-        p, q = frac.numerator, frac.denominator
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"{p}/{q} is not in lowest terms")
-    if q == 0:
-        return Horoball(INFINITY, eps, 1.0, "1/0")
-    if q < 0:
-        p, q = -p, -q
-    return Horoball(p / q, eps / q**2, 1.0, f"{p}/{q}")
 
 
 def trimmed_sum(values):

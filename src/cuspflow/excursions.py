@@ -36,13 +36,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
-from . import scalar
 from .hyperbolic import UnboundedExcursionError
 from .origami import Origami, act_L, act_S_inv, act_T, epsilon0, horizontal_cylinders
-from .scalar import INFINITY
 
 RECORD_PREC = 320  # bits; record quantities start from exact integers
 PRECISION_GUARD_BITS = 64
+KAPPA = 4.0  # denominator horizon safety factor
 
 
 def xi_prime(xi: float) -> float:
@@ -53,7 +52,7 @@ def xi_prime(xi: float) -> float:
 
 
 def twist_count(area, eps, phi, phi_max):
-    """Twists across one excursion:
+    """Twists across one excursion, computed in mpmath at the working precision:
 
         (2 A / eps) (sin phi_max / sin phi) sqrt(1 - sin^2 phi / sin^2 phi_max)
     """
@@ -61,13 +60,13 @@ def twist_count(area, eps, phi, phi_max):
         raise UnboundedExcursionError("phi = 0: ray aimed at the tangency")
     if phi < 0 or phi > phi_max:
         raise ValueError(f"need 0 < phi <= phi_max, got phi={phi}, phi_max={phi_max}")
-    s1 = scalar.sin(phi)
-    s2 = scalar.sin(phi_max)
+    s1 = mpmath.sin(phi)
+    s2 = mpmath.sin(phi_max)
     ratio_sq = (s1 * s1) / (s2 * s2)
     radicand = 1 - ratio_sq
     if radicand < 0:
         radicand = 0 * radicand
-    return (2 * area / eps) * (s2 / s1) * scalar.sqrt(radicand)
+    return (2 * area / eps) * (s2 / s1) * mpmath.sqrt(radicand)
 
 
 @dataclass
@@ -85,7 +84,6 @@ class ExcursionRecord:
     E_area: float
     tw: float
     complete: bool
-    kept: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,6 @@ class TrajectoryConfig:
     eps: Optional[float] = None  # defaults to epsilon0 / 2
     xi: float = 2.0
     s_xi: float = 2.0
-    bits: Optional[int] = None  # theta sampling resolution
-    kappa: float = 4.0  # denominator horizon safety factor
 
     def __post_init__(self):
         if not self.T > 0:
@@ -117,13 +113,6 @@ class TrajectoryConfig:
         if not 0 < self.eps <= e0:
             raise ValueError(f"eps={self.eps} exceeds the structural bound epsilon0={e0}")
         return self.eps
-
-    def resolved_bits(self) -> int:
-        if self.bits is not None:
-            return self.bits
-        # need ~2.89 T bits to separate theta from denominators up to
-        # kappa e^T; round up generously
-        return int(math.ceil(2.9 * self.T)) + 1024
 
 
 @dataclass
@@ -235,7 +224,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     e0 = epsilon0(o)
     eps = cfg.resolved_eps()
     eps_frac = Fraction(eps)
-    bits = cfg.resolved_bits()
     if cfg.theta is not None:
         # user-supplied directions are exact rationals: no sampling
         # uncertainty, so no precision budget applies
@@ -244,15 +232,18 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
         theta_exact = True
     else:
+        # need ~2.89 T bits to separate theta from denominators up to
+        # KAPPA e^T; round up generously
+        bits = int(math.ceil(2.9 * cfg.T)) + 1024
         theta = sample_theta(bits, Random(cfg.seed))
         theta_exact = False
     num, den = theta.numerator, theta.denominator
 
     n = o.n
     norm = den * den + num * num  # den^2 (1 + theta^2)
-    # horizon: candidates up to q <= kappa e^T; hit tests are exact so the
+    # horizon: candidates up to q <= KAPPA e^T; hit tests are exact so the
     # cap only needs to be generous
-    q_bit_cap = int(math.ceil((cfg.T + math.log(cfg.kappa)) * 1.4426950408889634)) + 2
+    q_bit_cap = int(math.ceil((cfg.T + math.log(KAPPA)) * 1.4426950408889634)) + 2
     if theta_exact:
         precision_bit_cap = q_bit_cap + 1
     else:
@@ -421,7 +412,7 @@ def _terminal_records(records, p, q, B, node: Origami, n, eps_frac, norm, T):
                     cyl_index=idx,
                     weight=weight,
                     t_entry=t_entry,
-                    t_exit=INFINITY,
+                    t_exit=math.inf,
                     phi=0.0,
                     phi_max=float(phi_max),
                     E=0.0,
@@ -434,11 +425,11 @@ def _terminal_records(records, p, q, B, node: Origami, n, eps_frac, norm, T):
 
 def _count_overlaps(records: Sequence[ExcursionRecord]) -> int:
     count = 0
-    active_exit = -INFINITY
+    active_exit = -math.inf
     for rec in records:
         if rec.t_entry < active_exit:
             count += 1
-        if rec.t_exit != INFINITY:
+        if rec.t_exit != math.inf:
             active_exit = max(active_exit, rec.t_exit)
     return count
 
@@ -469,18 +460,14 @@ def filter_excursions(
             continue
         if not (rec.t_exit <= T):
             dropped.final_partial += 1
-            rec.kept = False
             continue
         if rec.E <= threshold:
             dropped.shallow += 1
             dropped.shallow_E_area += rec.E_area
-            rec.kept = False
             continue
         if rec.t_entry < s_xi:
             dropped.early += 1
             dropped.early_E_area += rec.E_area
-            rec.kept = False
             continue
-        rec.kept = True
         kept.append(rec)
     return kept, dropped

@@ -1,5 +1,10 @@
 """Upper half-plane geometry: Moebius maps, geodesic rays, horoballs, excursions.
 
+This is the float kernel the tests compare the exact trajectory engine
+(``cuspflow.excursions``) against: it measures horoball crossings of a ray
+in double precision from the geometry alone.  The engine itself uses only
+``UnboundedExcursionError`` from here.
+
 Conventions
 -----------
 * Points are ``UhpPoint(x, y)`` with ``y > 0``; boundary points are real
@@ -38,9 +43,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from . import scalar
-from .scalar import INFINITY
-
 Boundary = Union[float, int]  # real number, or math.inf for the cusp at infinity
 
 DET_TOL = 1e-12
@@ -76,11 +78,11 @@ class Mat2(NamedTuple):
 
     def apply_boundary(self, t: Boundary) -> Boundary:
         a, b, c, d = self
-        if t == INFINITY:
-            return a / c if c != 0 else INFINITY
+        if t == math.inf:
+            return a / c if c != 0 else math.inf
         den = c * t + d
         if den == 0:
-            return INFINITY
+            return math.inf
         return (a * t + b) / den
 
     def apply_point(self, z: "UhpPoint") -> "UhpPoint":
@@ -100,7 +102,7 @@ class UhpPoint:
     y: float
 
     def __post_init__(self):
-        if not (scalar.isfinite(self.x) and scalar.isfinite(self.y)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
         if not self.y > 0:
             raise ValueError(f"point must lie strictly above the boundary, y={self.y}")
@@ -122,7 +124,7 @@ class Horoball:
     def __post_init__(self):
         # rejecting non-finite diameters reports precision exhaustion in
         # transform chains instead of letting nan propagate silently
-        if not self.diameter > 0 or not scalar.isfinite(self.diameter):
+        if not self.diameter > 0 or not math.isfinite(self.diameter):
             raise ValueError(f"diameter must be positive and finite, got {self.diameter}")
         if not 0 < self.weight <= 1:
             raise ValueError(f"weight must be in (0, 1], got {self.weight}")
@@ -130,13 +132,13 @@ class Horoball:
     def transform(self, m: Mat2) -> "Horoball":
         """Image horoball under a Moebius map (exact closed forms)."""
         a, b, c, d = m
-        if self.tangency == INFINITY:
+        if self.tangency == math.inf:
             if c * c == 0:  # covers denormal underflow, not just exact zero
-                return Horoball(INFINITY, self.diameter / (a * a), self.weight, self.label)
+                return Horoball(math.inf, self.diameter / (a * a), self.weight, self.label)
             return Horoball(a / c, self.diameter / (c * c), self.weight, self.label)
         den = c * self.tangency + d
         if den * den == 0:
-            return Horoball(INFINITY, c * c * self.diameter, self.weight, self.label)
+            return Horoball(math.inf, c * c * self.diameter, self.weight, self.label)
         return Horoball(
             (a * self.tangency + b) / den,
             self.diameter / (den * den),
@@ -160,7 +162,7 @@ class ExcursionGeometry:
 
     @property
     def unbounded(self) -> bool:
-        return self.t_exit == INFINITY
+        return self.t_exit == math.inf
 
 
 def mobius_apply(m, z: UhpPoint) -> UhpPoint:
@@ -190,7 +192,7 @@ class GeodesicRay:
     matrix: Mat2
 
     def point_at(self, t) -> UhpPoint:
-        return self.matrix.apply_point(UhpPoint(0 * t, scalar.exp(t)))
+        return self.matrix.apply_point(UhpPoint(0 * t, math.exp(t)))
 
     def transform(self, m: Mat2) -> "GeodesicRay":
         return geodesic_ray(m.apply_point(self.base), m.apply_boundary(self.endpoint))
@@ -204,17 +206,17 @@ def geodesic_ray(base: UhpPoint, endpoint: Boundary) -> GeodesicRay:
     pulled-back endpoint; rotations about ``i`` are ``[[cos, -sin], [sin,
     cos]]`` and send ``inf`` to ``cot(angle)``.
     """
-    if endpoint != INFINITY and not scalar.isfinite(endpoint):
+    if endpoint != math.inf and not math.isfinite(endpoint):
         raise ValueError(f"endpoint must be real or inf, got {endpoint}")
     x0, y0 = base.x, base.y
-    ys = scalar.sqrt(y0)
+    ys = math.sqrt(y0)
     h = Mat2(1 / ys, -x0 / ys, 0 * x0, ys)
-    if endpoint == INFINITY:
+    if endpoint == math.inf:
         alpha = 0.0
     else:
         zeta = (endpoint - x0) / y0
-        alpha = scalar.atan2(1, zeta)
-    k = Mat2(scalar.cos(alpha), -scalar.sin(alpha), scalar.sin(alpha), scalar.cos(alpha))
+        alpha = math.atan2(1, zeta)
+    k = Mat2(math.cos(alpha), -math.sin(alpha), math.sin(alpha), math.cos(alpha))
     g = h.inv().mul(k)
     return GeodesicRay(base, endpoint, g)
 
@@ -223,8 +225,8 @@ def dist(z: UhpPoint, w: UhpPoint):
     """Hyperbolic distance, via the numerically stable asinh form."""
     dx = z.x - w.x
     dy = z.y - w.y
-    chord = scalar.sqrt(dx * dx + dy * dy)
-    return 2 * scalar.asinh(chord / (2 * scalar.sqrt(z.y * w.y)))
+    chord = math.sqrt(dx * dx + dy * dy)
+    return 2 * math.asinh(chord / (2 * math.sqrt(z.y * w.y)))
 
 
 def crossing_roots(C, D, h_w):
@@ -244,7 +246,7 @@ def crossing_roots(C, D, h_w):
     x = x * x
     if x > 1:
         return None
-    s = scalar.sqrt(1 - x)
+    s = math.sqrt(1 - x)
     u_minus = 2 * D * D * h_w / (1 + s)
     u_plus = (1 + s) / (2 * C * C * h_w)
     return (x, u_minus, u_plus)
@@ -252,12 +254,12 @@ def crossing_roots(C, D, h_w):
 
 def chord_excursion_length(x):
     """Horocyclic entry-to-exit distance from the discriminant complement x."""
-    return 2 * scalar.sqrt((1 - x) / x)
+    return 2 * math.sqrt((1 - x) / x)
 
 
 def _bottom_row(ray: GeodesicRay, h: Horoball):
     g = ray.matrix
-    if h.tangency == INFINITY:
+    if h.tangency == math.inf:
         return g.c, g.d
     return g.a - h.tangency * g.c, g.b - h.tangency * g.d
 
@@ -279,12 +281,12 @@ def angles_from_row(C, D, h_w, aimed=False):
     if aimed or C == 0:
         phi = 0.0
     else:
-        phi = 2 * scalar.atan2(abs(C), abs(D))
+        phi = 2 * math.atan2(abs(C), abs(D))
     inv_h_app = 1 / (h_w * (C * C + D * D))
     if inv_h_app >= 1:
         phi_max = math.pi  # base on or inside the horoball
     else:
-        phi_max = 2 * scalar.asin(inv_h_app)
+        phi_max = 2 * math.asin(inv_h_app)
     return phi, phi_max
 
 
@@ -309,13 +311,13 @@ def intersect(ray: GeodesicRay, h: Horoball) -> Optional[ExcursionGeometry]:
         return None
     x, u_minus, u_plus = roots
     if u_plus is None:
-        t_entry = scalar.log(u_minus) if u_minus > 0 else -INFINITY
+        t_entry = math.log(u_minus) if u_minus > 0 else -math.inf
         phi, phi_max = _angles(ray, h)
-        return ExcursionGeometry(max(t_entry, 0.0), INFINITY, phi, phi_max)
+        return ExcursionGeometry(max(t_entry, 0.0), math.inf, phi, phi_max)
     if u_plus < 1:
         return None  # the geodesic's crossing lies entirely before the base
-    t_entry = max(scalar.log(u_minus), 0.0)
-    t_exit = scalar.log(u_plus)
+    t_entry = max(math.log(u_minus), 0.0)
+    t_exit = math.log(u_plus)
     phi, phi_max = _angles(ray, h)
     return ExcursionGeometry(t_entry, t_exit, phi, phi_max)
 
@@ -346,7 +348,7 @@ def excursion_exact(ray: GeodesicRay, h: Horoball):
         return chord_excursion_length(x)
     # Base starts inside: measure from the base's projection instead.
     g = ray.matrix
-    if h.tangency == INFINITY:
+    if h.tangency == math.inf:
         A, B = g.a, g.b
     else:
         A, B = -g.c, -g.d

@@ -1,4 +1,4 @@
-"""Square-tiled surfaces: validation, strata, cylinders, horoball families.
+"""Square-tiled surfaces: validation, strata, cylinders, the thin-part bound.
 
 An origami is a pair of permutations ``(h, v)`` of the squares 0..n-1:
 ``h[i]`` is the square to the right of ``i`` and ``v[i]`` the square above.
@@ -39,16 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .hyperbolic import Horoball
-from .scalar import INFINITY
-
 
 class DisconnectedSurfaceError(ValueError):
     """The permutation pair does not act transitively."""
-
-
-class ThinParameterError(ValueError):
-    """Requested eps exceeds the structural bound of the surface."""
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +396,7 @@ def cylinder_decomposition(o: Origami, direction: Tuple[int, int]) -> List[Cylin
 
 
 # ---------------------------------------------------------------------------
-# flat lengths, structural bound, horoball families
+# flat lengths, structural bound
 
 
 def flat_length_sq(o: Origami, direction: Tuple[int, int], circ: int, z):
@@ -458,40 +451,8 @@ def epsilon0(o: Origami) -> float:
     return 0.5 * min(_min_length_sq_at(o, x0, y0) for x0, y0 in BASE_POINTS)
 
 
-def horoball_family(o: Origami, eps: float, denominator_bound: int) -> List[Horoball]:
-    """Weighted horoballs for all tangencies p/q in [0, 1] with q <= bound,
-    plus the cusp at infinity (direction (1, 0))."""
-    e0 = epsilon0(o)
-    if not 0 < eps <= e0:
-        raise ThinParameterError(f"eps={eps} exceeds the structural bound epsilon0={e0}")
-    out = []
-    for cyl in cylinder_decomposition(o, (1, 0)):
-        out.append(
-            Horoball(
-                INFINITY,
-                o.n * eps / cyl.circumference**2,
-                float(cyl.area_fraction),
-                f"1/0#{cyl.label.split('#')[1]}",
-            )
-        )
-    for q in range(1, denominator_bound + 1):
-        for p in range(0, q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            for cyl in cylinder_decomposition(o, (p, q)):
-                out.append(
-                    Horoball(
-                        p / q,
-                        o.n * eps / (cyl.circumference**2 * q**2),
-                        float(cyl.area_fraction),
-                        f"{p}/{q}#{cyl.label.split('#')[1]}",
-                    )
-                )
-    return out
-
-
 # ---------------------------------------------------------------------------
-# SL(2, Z) orbit (for the disc measure samplers)
+# SL(2, Z) orbit
 
 
 def canonical_key(o: Origami):

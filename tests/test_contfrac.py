@@ -15,12 +15,9 @@ from cuspflow.contfrac import (
     cf_expand,
     convergents,
     dv_statistic,
-    ford_horoball,
     gauss_step,
-    sample_uniform,
     trimmed_sum,
 )
-from cuspflow.scalar import INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +52,7 @@ def test_gauss_step_sqrt2_fixed_point():
 
 def test_gauss_step_budget_decreases():
     rng = random.Random(11)
-    x = sample_uniform(512, rng)
+    x = PrecisionReal(rng.getrandbits(512), 1 << 512, bits=512)
     a, x1 = gauss_step(x)
     assert x1.bits < x.bits
 
@@ -97,7 +94,7 @@ def test_cf_expand_small_budget_no_garbage():
 
 def test_cf_expand_respects_n_max():
     rng = random.Random(3)
-    e = cf_expand(sample_uniform(4096, rng), 7)
+    e = cf_expand(PrecisionReal(rng.getrandbits(4096), 1 << 4096, bits=4096), 7)
     assert len(e) == 7
     assert not e.exhausted
     assert all(a >= 1 for a in e.coeffs)
@@ -143,27 +140,7 @@ def test_convergents_approximate_and_alternate(mantissa):
 
 
 # ---------------------------------------------------------------------------
-# ford_horoball
-
-
-def test_ford_unit_circle():
-    h = ford_horoball(Fraction(0, 1), 1.0)
-    assert h.tangency == 0 and h.diameter == 1.0 and h.weight == 1.0
-
-
-def test_ford_half():
-    assert ford_horoball(Fraction(1, 2), 1.0).diameter == pytest.approx(0.25)
-    assert ford_horoball(Fraction(1, 2), 0.04).diameter == pytest.approx(0.01)
-
-
-def test_ford_infinity_pair():
-    h = ford_horoball((1, 0), 0.5)
-    assert h.tangency == INFINITY and h.diameter == 0.5
-
-
-def test_ford_rejects_non_reduced():
-    with pytest.raises(ValueError):
-        ford_horoball((2, 4), 1.0)
+# Ford circles
 
 
 def test_ford_disjoint_interiors():

@@ -23,9 +23,9 @@ from cuspflow.hyperbolic import (
     intersect,
 )
 from cuspflow.origami import TORUS, cylinder_decomposition, epsilon0, parse_origami
-from cuspflow.scalar import INFINITY
 
 L_ORIGAMI = parse_origami("3; (1 2); (1 3)")
+ORBIT8 = parse_origami("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)")
 
 
 def cf_value(coeffs):
@@ -133,7 +133,7 @@ def test_rational_theta_terminates_with_partial_record():
     result = enumerate_excursions(cfg)
     assert result.rational_terminal
     last = result.records[-1]
-    assert last.t_exit == INFINITY and not last.complete
+    assert last.t_exit == math.inf and not last.complete
     assert (last.p, last.q) == (5, 13)
     assert all(r.complete for r in result.records[:-1])
 
@@ -189,6 +189,15 @@ def test_l_origami_same_tangency_records_nest():
         assert outer.t_entry <= inner.t_entry <= inner.t_exit <= outer.t_exit + 1e-9
 
 
+def test_eps_above_structural_bound_rejected():
+    # eps may not exceed epsilon0, which is 1/6 for the L origami
+    theta = Fraction(961, 2237)
+    with pytest.raises(ValueError, match="epsilon0"):
+        enumerate_excursions(TrajectoryConfig(surface=L_ORIGAMI, T=4.0, theta=theta, eps=0.4))
+    eps0 = epsilon0(L_ORIGAMI)
+    enumerate_excursions(TrajectoryConfig(surface=L_ORIGAMI, T=4.0, theta=theta, eps=eps0))
+
+
 def test_determinism_same_seed():
     a = enumerate_excursions(TrajectoryConfig(surface=TORUS, T=150.0, seed=5))
     b = enumerate_excursions(TrajectoryConfig(surface=TORUS, T=150.0, seed=5))
@@ -206,8 +215,10 @@ def test_determinism_same_seed():
     [
         (TORUS, Fraction(961, 2237), 0.5),
         (L_ORIGAMI, Fraction(2237, 5003), 1.0),
+        (ORBIT8, Fraction(961, 2237), 0.5),
+        (ORBIT8, Fraction(961, 2237), 1.0),
     ],
-    ids=["torus", "L"],
+    ids=["torus", "L", "orbit8-half", "orbit8"],
 )
 def test_sweep_against_float_kernel(surface, theta, eps_factor):
     # independent route: enumerate ALL primitive directions with small
@@ -218,15 +229,15 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
     #
     # Every crossing that enters before T and leaves the horoball is
     # compared, including those that exit after T (engine records with
-    # complete=False).  Only rational-terminal records (t_exit = INFINITY)
+    # complete=False).  Only rational-terminal records (t_exit = math.inf)
     # are left out on both sides: the kernel reports them as unbounded.
     #
     # q < 130 covers every such crossing.  The horoball at p/q has
     # Euclidean diameter n*eps/(c^2 q^2) with c >= 1, a point at height y
     # lies at hyperbolic distance >= log(1/y) from i, and that distance is
     # 2t at Teichmueller time t.  An entry before T therefore needs
-    # q <= sqrt(n*eps) * e^T: about 27 for the torus at eps0/2 and about 39
-    # for the L at eps0, with T = 4.
+    # q <= sqrt(n*eps) * e^T.  Every surface here has n*eps0 = 1/2, so with
+    # T = 4 that is about 27 at eps0/2 and about 39 at eps0.
     T = 4.0
     q_bound = 130
     eps = epsilon0(surface) * eps_factor
@@ -235,7 +246,7 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
     engine = {
         (r.p, r.q, r.cyl_index): r
         for r in enumerate_excursions(cfg).records
-        if r.t_exit != INFINITY
+        if r.t_exit != math.inf
     }
 
     base = UhpPoint(0.0, 1.0)
@@ -254,7 +265,7 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
             )
             for idx, (circ, height) in enumerate(cyls):
                 if q == 0:
-                    ball = Horoball(INFINITY, surface.n * eps / circ**2)
+                    ball = Horoball(math.inf, surface.n * eps / circ**2)
                 else:
                     ball = Horoball(p / q, surface.n * eps / (circ**2 * q**2))
                 geom = intersect(ray, ball)
@@ -290,7 +301,7 @@ def _synthetic(E, t_entry, t_exit, weight=1.0):
         E=E,
         E_area=weight * E,
         tw=2 * E,
-        complete=t_exit != INFINITY,
+        complete=t_exit != math.inf,
     )
 
 
@@ -315,7 +326,7 @@ def test_filter_keeps_one_deep_late_record():
     kept, dropped = filter_excursions(records, xi=2.0, T=10.0, s_xi=2.0)
     assert [r.t_entry for r in kept] == [5.0]
     assert dropped.early == 1 and dropped.final_partial == 1
-    assert kept[0].kept and not records[0].kept
+    assert kept == [records[1]] and kept[0] is records[1]
 
 
 def test_complete_records_horizon():

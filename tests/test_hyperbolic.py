@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspflow.hyperbolic import (
-    INFINITY,
     ExcursionGeometry,
     Horoball,
     InvalidMatrixError,
@@ -72,7 +71,7 @@ def test_mobius_preserves_distance(t, s, theta, x, y):
 
 
 def test_vertical_ray_up():
-    ray = geodesic_ray(I_POINT, INFINITY)
+    ray = geodesic_ray(I_POINT, math.inf)
     for t in (0.0, 0.7, 3.0):
         p = ray.point_at(t)
         assert p.x == pytest.approx(0.0, abs=1e-14)
@@ -103,19 +102,19 @@ def test_ray_rejects_boundary_base():
 @given(
     x0=st.floats(-3, 3),
     y0=st.floats(0.05, 20),
-    endpoint=st.one_of(st.floats(-50, 50), st.just(INFINITY)),
+    endpoint=st.one_of(st.floats(-50, 50), st.just(math.inf)),
     t=st.floats(0, 30),
 )
 def test_unit_speed_parameterization(x0, y0, endpoint, t):
     base = UhpPoint(x0, y0)
-    assume(endpoint == INFINITY or abs(endpoint - x0) > 1e-9 or True)
+    assume(endpoint == math.inf or abs(endpoint - x0) > 1e-9 or True)
     ray = geodesic_ray(base, endpoint)
     assert dist(base, ray.point_at(t)) == pytest.approx(t, abs=1e-12 * max(1.0, t))
 
 
 def test_unit_speed_exact_tolerance_grid():
     # the spec's 1e-12 absolute tolerance for t <= 30 on concrete rays
-    for endpoint in (INFINITY, 0.0, 1.0, -2.5):
+    for endpoint in (math.inf, 0.0, 1.0, -2.5):
         ray = geodesic_ray(UhpPoint(0.25, 1.5), endpoint)
         for t in np.linspace(0.0, 30.0, 61):
             assert abs(dist(ray.base, ray.point_at(t)) - t) < 1e-12 * max(1.0, t)
@@ -134,8 +133,8 @@ def test_ray_converges_to_endpoint():
 
 def test_intersect_cusp_at_infinity():
     # region y >= e is the horoball at infinity with diameter 1/e
-    ray = geodesic_ray(I_POINT, INFINITY)
-    ball = Horoball(INFINITY, 1 / math.e)
+    ray = geodesic_ray(I_POINT, math.inf)
+    ball = Horoball(math.inf, 1 / math.e)
     geom = intersect(ray, ball)
     assert geom is not None
     assert geom.t_entry == pytest.approx(1.0, abs=1e-12)
@@ -158,7 +157,7 @@ def test_intersect_miss():
 
 def test_intersect_angle_invariants():
     ray = geodesic_ray(I_POINT, 30.0)
-    geom = intersect(ray, Horoball(INFINITY, 0.5))
+    geom = intersect(ray, Horoball(math.inf, 0.5))
     assert geom is not None
     assert not geom.unbounded
     assert 0 < geom.phi < geom.phi_max < math.pi
@@ -173,9 +172,9 @@ def test_entering_iff_phi_below_half_cone(endpoint, diameter):
     # the cone of entering directions has full opening phi_max, so the ray
     # enters exactly when phi < phi_max / 2
     ray = geodesic_ray(I_POINT, endpoint)
-    ball = Horoball(INFINITY, diameter)
+    ball = Horoball(math.inf, diameter)
     geom = intersect(ray, ball)
-    ref = geodesic_ray(I_POINT, INFINITY)
+    ref = geodesic_ray(I_POINT, math.inf)
     ref_geom = intersect(ref, ball)
     assert ref_geom is not None
     phi = 2 * math.atan2(1, endpoint)
@@ -196,7 +195,7 @@ def test_excursion_horocycle_chord():
     base = UhpPoint(-r + 1e-9, 1e-4)  # near the left endpoint, outside the ball
     base = _point_on_circle(0.0, r, 3.1)
     ray = geodesic_ray(base, r)
-    ball = Horoball(INFINITY, 1 / c)
+    ball = Horoball(math.inf, 1 / c)
     assert excursion_exact(ray, ball) == pytest.approx(2 / c, rel=1e-9)
 
 
@@ -216,7 +215,7 @@ def test_excursion_tangent_ray_is_zero():
     h = 2.0
     c = math.sqrt(h * h - 1)
     ray = geodesic_ray(I_POINT, (c + h) * (1 + 1e-12))
-    ball = Horoball(INFINITY, 1 / h)
+    ball = Horoball(math.inf, 1 / h)
     assert 0 <= excursion_exact(ray, ball) < 1e-4
 
 
@@ -230,7 +229,7 @@ def test_excursion_against_quadrature_oracle():
     base = _point_on_circle(0.0, 1.0, 2.95)
     assert base.y < h
     ray = geodesic_ray(base, 1.0)
-    ball = Horoball(INFINITY, 1 / h)
+    ball = Horoball(math.inf, 1 / h)
     val = excursion_exact(ray, ball)
     assert val == pytest.approx(oracle, rel=1e-6)
     assert val == pytest.approx(2 * math.sqrt(3), rel=1e-9)
@@ -263,7 +262,7 @@ def test_excursion_angle_boundary():
 
 
 def test_excursion_angle_zero_phi_raises():
-    geom = ExcursionGeometry(0.0, INFINITY, phi=0.0, phi_max=0.1)
+    geom = ExcursionGeometry(0.0, math.inf, phi=0.0, phi_max=0.1)
     with pytest.raises(UnboundedExcursionError):
         excursion_angle(geom)
 
@@ -290,7 +289,7 @@ def _random_isometry(t, s, theta):
 )
 def test_isometry_invariance_of_excursion(endpoint, diameter, t, s, theta):
     ray = geodesic_ray(I_POINT, endpoint)
-    ball = Horoball(INFINITY, diameter)
+    ball = Horoball(math.inf, diameter)
     geom = intersect(ray, ball)
     assume(geom is not None and not geom.unbounded)
     assume(geom.t_entry > 1e-6 and geom.t_exit - geom.t_entry > 1e-4)
@@ -310,7 +309,7 @@ def test_isometry_invariance_of_excursion(endpoint, diameter, t, s, theta):
 )
 def test_isometry_invariance_of_angles(endpoint, diameter, t, s, theta):
     ray = geodesic_ray(I_POINT, endpoint)
-    ball = Horoball(INFINITY, diameter)
+    ball = Horoball(math.inf, diameter)
     geom = intersect(ray, ball)
     assume(geom is not None and not geom.unbounded)
     assume(geom.t_entry > 1e-6 and geom.t_exit - geom.t_entry > 1e-4)
@@ -328,7 +327,7 @@ def test_exact_excursion_matches_sine_identity(endpoint, diameter):
     # E = 2 (sin psi / sin phi) sqrt(1 - sin^2 phi / sin^2 psi) with
     # psi = phi_max / 2 the half opening of the entering cone
     ray = geodesic_ray(I_POINT, endpoint)
-    ball = Horoball(INFINITY, diameter)
+    ball = Horoball(math.inf, diameter)
     geom = intersect(ray, ball)
     assume(geom is not None and not geom.unbounded)
     assume(geom.t_exit - geom.t_entry > 1e-4 and geom.t_entry > 0)
@@ -340,7 +339,7 @@ def test_exact_excursion_matches_sine_identity(endpoint, diameter):
 
 
 def test_monotonicity_deeper_rays_have_larger_excursions():
-    ball = Horoball(INFINITY, 0.5)
+    ball = Horoball(math.inf, 0.5)
     endpoints = [3.9, 6.0, 12.0, 50.0, 400.0]
     values, phis = [], []
     for e in endpoints:
@@ -363,9 +362,9 @@ def test_horoball_transform_roundtrip():
     # the cusp at infinity may come back as a huge finite tangency; the
     # represented region {Im z / |z - p|^2 >= 1/d} is then a height cutoff
     # p^2 / d near finite points
-    ball = Horoball(INFINITY, 0.8)
+    ball = Horoball(math.inf, 0.8)
     back = ball.transform(m).transform(m.inv())
-    if back.tangency == INFINITY:
+    if back.tangency == math.inf:
         assert back.diameter == pytest.approx(0.8, rel=1e-9)
     else:
         assert abs(back.tangency) > 1e9

@@ -11,7 +11,6 @@ from cuspflow.origami import (
     Cylinder,
     DisconnectedSurfaceError,
     Origami,
-    ThinParameterError,
     act_L,
     act_S,
     act_S_inv,
@@ -24,13 +23,11 @@ from cuspflow.origami import (
     epsilon0,
     flat_length_sq,
     genus,
-    horoball_family,
     parse_origami,
     sl2z_orbit,
     stratum,
     word_matrix,
 )
-from cuspflow.scalar import INFINITY
 
 L_ORIGAMI = parse_origami("3; (1 2); (1 3)")
 
@@ -281,7 +278,7 @@ def test_flat_length_mobius_remarking_invariance():
 
 
 # ---------------------------------------------------------------------------
-# structural bound and horoball families
+# structural bound
 
 
 def test_epsilon0_values():
@@ -290,36 +287,6 @@ def test_epsilon0_values():
     # does better
     assert epsilon0(TORUS) == pytest.approx(0.5)
     assert epsilon0(L_ORIGAMI) == pytest.approx(1 / 6)
-
-
-def test_horoball_family_torus_ford():
-    balls = horoball_family(TORUS, 0.5, 1)
-    by_tangency = {b.tangency: b for b in balls}
-    assert set(by_tangency) == {INFINITY, 0.0, 1.0}
-    for b in balls:
-        assert b.diameter == pytest.approx(0.5)
-        assert b.weight == 1.0
-
-
-def test_horoball_family_l_origami_weights():
-    eps = 0.1
-    balls = [b for b in horoball_family(L_ORIGAMI, eps, 2) if b.tangency == 0.0]
-    got = sorted((b.diameter, b.weight) for b in balls)
-    assert got[0] == (pytest.approx(3 * eps / 4), pytest.approx(2 / 3))
-    assert got[1] == (pytest.approx(3 * eps), pytest.approx(1 / 3))
-
-
-def test_horoball_family_scales_linearly_in_eps():
-    b1 = horoball_family(L_ORIGAMI, 0.05, 3)
-    b2 = horoball_family(L_ORIGAMI, 0.1, 3)
-    assert len(b1) == len(b2)
-    for x, y in zip(b1, b2):
-        assert y.diameter == pytest.approx(2 * x.diameter)
-
-
-def test_horoball_family_rejects_large_eps():
-    with pytest.raises(ThinParameterError):
-        horoball_family(L_ORIGAMI, 0.4, 2)
 
 
 # ---------------------------------------------------------------------------
