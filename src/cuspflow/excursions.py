@@ -3,11 +3,16 @@
 The ray runs from the base point i toward a boundary direction theta in
 (0, 1).  Candidate tangencies are generated by walking the Stern-Brocot
 tree toward theta: every mediant visited is a semiconvergent of theta,
-and the walk also tests the mediant neighbours up to depth two on either
-side of the path (a brute-force sweep test checks that this family covers
-every horoball actually met).  The re-marked origami whose horizontal
-cylinders are the cylinders in the mediant direction is maintained
-incrementally: one generator action per step.
+and the walk also tests the Stern-Brocot nodes up to depth two below it
+(a brute-force sweep test checks that this family covers every horoball
+actually met).  The neighbourhood is the table ``_NEIGHBOURS``: one row
+per node a R + b L of the bracket [L, R], with the T/L word that turns
+the bracket's re-marked origami into the one whose horizontal cylinders
+are the cylinders in that direction.  The bracket's own re-marked origami
+is maintained incrementally, and a direction is re-marked only the first
+time the walk meets it.  When theta = p/q is rational the walk ends at
+p/q, and the same record builder makes the terminal records there
+(A = 0 below): the ray enters every horoball at p/q and never leaves.
 
 Exactness: theta is an exact rational num/den (samples are dyadic).  For
 a direction (p, q) put
@@ -18,9 +23,10 @@ a direction (p, q) put
 Both evolve additively along mediants, so the walk is exact integer
 arithmetic.  With h_w = c^2 / (n eps) the ray misses the horoball at p/q
 unless x = (2 A B h_w / (1 + theta^2))^2 <= 1, an exact integer
-comparison.  Only actual hits pay for arbitrary-precision evaluation of
-times, angles, excursion and twist, and those start from exact integers,
-so there is no precision loss anywhere in the pipeline.
+comparison (h_w takes one of n values, computed once per trajectory).
+Only actual hits pay for arbitrary-precision evaluation of times, angles,
+excursion and twist, and those start from exact integers, so there is no
+precision loss anywhere in the pipeline.
 
 Times are Teichmueller times: half the hyperbolic arclength (the diagonal
 flow moves i to e^{2t} i).
@@ -97,11 +103,11 @@ class TrajectoryConfig:
     s_xi: float = 2.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if not self.xi > 1:
             raise ValueError(f"xi must be > 1, got {self.xi}")
-        if self.s_xi < 0:
+        if not self.s_xi >= 0:
             raise ValueError(f"s_xi must be >= 0, got {self.s_xi}")
         if self.theta is None and self.seed is None:
             raise ValueError("either theta or a seed is required")
@@ -145,8 +151,6 @@ class TrajectoryResult:
 def sample_theta(bits: int, rng: Random) -> Fraction:
     """Uniform dyadic direction in (0, 1) at the given resolution."""
     num = rng.getrandbits(bits) | 1  # odd: never terminates early in lowest terms
-    if num >= (1 << bits):
-        num = (1 << bits) - 1
     return Fraction(num, 1 << bits)
 
 
@@ -156,6 +160,26 @@ def _coefficients_from_runs(runs: List[int]) -> Tuple[int, ...]:
 
 K_RUN = 16  # nodes tested at each end of a same-direction run
 
+# The candidate neighbourhood of a bracket [L, R]: the Stern-Brocot nodes
+# a R + b L to depth two below the mediant R + L, each with the T/L word,
+# applied left to right, that sends (a, b) to (1, 0).
+_NEIGHBOURS = (
+    (1, 1, (("L", -1),)),
+    (1, 2, (("L", -2),)),
+    (2, 1, (("T", -1), ("L", -1))),
+    (1, 3, (("L", -3),)),
+    (2, 3, (("L", -1), ("T", -1), ("L", -1))),
+    (3, 2, (("T", -1), ("L", -2))),
+    (3, 1, (("T", -2), ("L", -1))),
+)
+
+
+def _remark(o: Origami, word) -> Origami:
+    """Apply a T/L word left to right."""
+    for tag, m in word:
+        o = act_T(o, m) if tag == "T" else act_L(o, m)
+    return o
+
 
 @dataclass
 class _Interval:
@@ -163,8 +187,11 @@ class _Interval:
 
     ``Q = B^-1 . o`` for the bracket matrix B = [R | L] (columns), and
     ``A = q num - p den``, ``Bv = q den + p num`` for both endpoints (exact
-    integers, evolving additively).  The mediant's cylinder structure in
-    its own direction is the horizontal structure of ``L_mat^-1 . Q``.
+    integers, evolving additively).  The node a R + b L has coordinates
+    (a, b) in this basis, so its cylinder structure in its own direction
+    is the horizontal structure of ``word . Q`` for its ``_NEIGHBOURS``
+    word.  Candidates carry the word, not the re-marked origami: the walk
+    re-marks a direction only if it has not tested it yet.
     """
 
     pL: int
@@ -178,25 +205,10 @@ class _Interval:
     Q: Origami
 
     def candidates(self):
-        """Mediant of the bracket plus its mediant neighbours to depth two.
-
-        Yields (p, q, A, B, origami).
-        """
-        pm, qm = self.pL + self.pR, self.qL + self.qR
-        Am, Bm = self.AL + self.AR, self.BL + self.BR
-        QL = act_L(self.Q, -1)  # bracket [L, m]
-        QR = act_T(self.Q, -1)  # bracket [m, R]
-        yield (pm, qm, Am, Bm, act_L(self.Q, -1))
-        yield (pm + self.pL, qm + self.qL, Am + self.AL, Bm + self.BL, act_L(QL, -1))
-        yield (pm + self.pR, qm + self.qR, Am + self.AR, Bm + self.BR, act_L(QR, -1))
-        yield (pm + 2 * self.pL, qm + 2 * self.qL, Am + 2 * self.AL, Bm + 2 * self.BL,
-               act_L(self.Q, -3))
-        yield (2 * pm + self.pL, 2 * qm + self.qL, 2 * Am + self.AL, 2 * Bm + self.BL,
-               act_L(act_T(QL, -1), -1))
-        yield (2 * pm + self.pR, 2 * qm + self.qR, 2 * Am + self.AR, 2 * Bm + self.BR,
-               act_L(act_L(QR, -1), -1))
-        yield (pm + 2 * self.pR, qm + 2 * self.qR, Am + 2 * self.AR, Bm + 2 * self.BR,
-               act_L(act_T(self.Q, -2), -1))
+        """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, A, B, word)."""
+        for a, b, word in _NEIGHBOURS:
+            yield (a * self.pR + b * self.pL, a * self.qR + b * self.qL,
+                   a * self.AR + b * self.AL, a * self.BR + b * self.BL, word)
 
     def at_left_run_step(self, j: int) -> "_Interval":
         """Bracket after j same-direction steps moving the LEFT endpoint."""
@@ -249,29 +261,26 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     else:
         precision_bit_cap = (den.bit_length() - PRECISION_GUARD_BITS) // 2
 
+    # hit thresholds h_w = c^2 / (n eps), one per circumference c
+    thresholds = [None] + [Fraction(c * c, n) / eps_frac for c in range(1, n + 1)]
+
     records: List[ExcursionRecord] = []
-    tested: dict = {}
+    tested = set()
     clamps = 0
 
     def test_candidate(p, q, A, B, node: Origami):
         nonlocal clamps
-        if A == 0:
-            return  # handled as the rational terminal
-        if (p, q) in tested:
-            return
-        tested[(p, q)] = True
+        tested.add((p, q))
         cyls = horizontal_cylinders(node)
         for idx, (circ, height) in enumerate(sorted(cyls, reverse=True)):
-            h_w = Fraction(circ * circ, n) / eps_frac
+            h_w = thresholds[circ]
             # miss unless (2 A B h_w / (den^2 + num^2))^2 <= 1, exactly
-            lhs = 2 * abs(A) * abs(B) * h_w.numerator
-            rhs = norm * h_w.denominator
-            if lhs > rhs:
+            if 2 * abs(A) * abs(B) * h_w.numerator > norm * h_w.denominator:
                 continue
             rec = _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, cfg.T)
             if rec is None:
                 continue
-            if rec.t_entry == 0.0:
+            if A != 0 and rec.t_entry == 0.0:  # crossings only
                 clamps += 1
             records.append(rec)
 
@@ -286,9 +295,10 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     rational_terminal = False
 
     def test_interval_nodes(iv: _Interval):
-        for p, q, A, B, neigh in iv.candidates():
-            if q.bit_length() <= q_bit_cap:
-                test_candidate(p, q, A, B, neigh)
+        for p, q, A, B, word in iv.candidates():
+            # A == 0 is theta itself: the walk's terminal branch tests it
+            if A != 0 and (p, q) not in tested and q.bit_length() <= q_bit_cap:
+                test_candidate(p, q, A, B, _remark(iv.Q, word))
 
     while True:
         qm = bracket.qL + bracket.qR
@@ -321,7 +331,8 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
             assert iv.AL + iv.AR == 0
             rational_terminal = True
             runs.append(terminal_j)
-            _terminal_records(records, pm, qm, Bm, act_L(iv.Q, -1), n, eps_frac, norm, cfg.T)
+            # theta's own direction: untested, as the nodes skip A == 0
+            test_candidate(pm, qm, 0, Bm, act_L(iv.Q, -1))
             break
         runs.append(k)
         bracket = at_step(k)
@@ -347,33 +358,46 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
 
 
 def _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, T):
+    """The record of the ray's visit to one horoball at p/q, or None if it
+    enters at or after T or crossed before the base.
+
+    A == 0 is the rational terminal: the ray ends at p/q, enters the
+    horoball and never leaves, so t_exit = inf and phi = E = tw = 0.
+    """
     weight = circ * height / n
     with mpmath.mp.workprec(RECORD_PREC):
-        x = mpmath.mpf(4 * A * A * B * B * h_w.numerator**2) / mpmath.mpf(
-            norm * norm * h_w.denominator**2
-        )
         one = mpmath.mpf(1)
-        if x > 1:
-            return None
-        s = mpmath.sqrt(one - x)
         hw = mpmath.mpf(h_w.numerator) / h_w.denominator
-        u_minus = 2 * mpmath.mpf(B * B) / norm * hw / (1 + s)
-        u_plus = (1 + s) * mpmath.mpf(norm) / (2 * mpmath.mpf(A * A) * hw)
-        if u_plus <= 1:
-            return None  # crossing happened before the base
-        t_entry = float(mpmath.log(u_minus) / 2) if u_minus > 1 else 0.0
-        if t_entry >= T:
-            return None
-        t_exit = float(mpmath.log(u_plus) / 2)
-        if x == 0:
-            E = mpmath.inf
+        if A == 0:
+            u_entry = hw * mpmath.mpf(B * B) / norm
+            t_entry = float(mpmath.log(u_entry) / 2) if u_entry > 1 else 0.0
+            if t_entry >= T:
+                return None
+            t_exit, phi, E, tw = math.inf, 0, 0, 0
         else:
-            E = 2 * mpmath.sqrt((one - x) / x)
-        phi = 2 * mpmath.atan2(abs(mpmath.mpf(A)), abs(mpmath.mpf(B)))
+            x = mpmath.mpf(4 * A * A * B * B * h_w.numerator**2) / mpmath.mpf(
+                norm * norm * h_w.denominator**2
+            )
+            if x > 1:
+                return None
+            s = mpmath.sqrt(one - x)
+            u_minus = 2 * mpmath.mpf(B * B) / norm * hw / (1 + s)
+            u_plus = (1 + s) * mpmath.mpf(norm) / (2 * mpmath.mpf(A * A) * hw)
+            if u_plus <= 1:
+                return None  # crossing happened before the base
+            t_entry = float(mpmath.log(u_minus) / 2) if u_minus > 1 else 0.0
+            if t_entry >= T:
+                return None
+            t_exit = float(mpmath.log(u_plus) / 2)
+            if x == 0:
+                E = mpmath.inf
+            else:
+                E = 2 * mpmath.sqrt((one - x) / x)
+            phi = 2 * mpmath.atan2(abs(mpmath.mpf(A)), abs(mpmath.mpf(B)))
         inv_h_app = mpmath.mpf(norm) / (hw * mpmath.mpf(A * A + B * B))
         phi_max = 2 * mpmath.asin(min(one, inv_h_app))
-        tw = twist_count(mpmath.mpf(weight), mpmath.mpf(eps), phi, phi_max)
-        complete = t_exit <= T
+        if A != 0:
+            tw = twist_count(mpmath.mpf(weight), mpmath.mpf(eps), phi, phi_max)
         return ExcursionRecord(
             label=f"{p}/{q}#{idx}",
             p=int(p),
@@ -387,40 +411,8 @@ def _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, T):
             E=float(E),
             E_area=float(weight * E),
             tw=float(tw),
-            complete=complete,
+            complete=t_exit <= T,
         )
-
-
-def _terminal_records(records, p, q, B, node: Origami, n, eps_frac, norm, T):
-    """The ray ends at p/q: it enters every horoball there and never leaves."""
-    with mpmath.mp.workprec(RECORD_PREC):
-        for idx, (circ, height) in enumerate(sorted(horizontal_cylinders(node), reverse=True)):
-            h_w = Fraction(circ * circ, n) / eps_frac
-            hw = mpmath.mpf(h_w.numerator) / h_w.denominator
-            u_entry = hw * mpmath.mpf(B * B) / norm
-            t_entry = float(mpmath.log(u_entry) / 2) if u_entry > 1 else 0.0
-            if t_entry >= T:
-                continue
-            weight = circ * height / n
-            inv_h_app = mpmath.mpf(norm) / (hw * mpmath.mpf(B * B))
-            phi_max = 2 * mpmath.asin(min(mpmath.mpf(1), inv_h_app))
-            records.append(
-                ExcursionRecord(
-                    label=f"{p}/{q}#{idx}",
-                    p=int(p),
-                    q=int(q),
-                    cyl_index=idx,
-                    weight=weight,
-                    t_entry=t_entry,
-                    t_exit=math.inf,
-                    phi=0.0,
-                    phi_max=float(phi_max),
-                    E=0.0,
-                    E_area=0.0,
-                    tw=0.0,
-                    complete=False,
-                )
-            )
 
 
 def _count_overlaps(records: Sequence[ExcursionRecord]) -> int:

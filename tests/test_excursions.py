@@ -6,6 +6,7 @@ import pytest
 
 from cuspflow.contfrac import PrecisionReal, cf_expand, convergent_pairs
 from cuspflow.excursions import (
+    _NEIGHBOURS,
     ExcursionRecord,
     TrajectoryConfig,
     complete_records,
@@ -19,10 +20,11 @@ from cuspflow.hyperbolic import (
     Horoball,
     UhpPoint,
     UnboundedExcursionError,
+    excursion_exact,
     geodesic_ray,
     intersect,
 )
-from cuspflow.origami import TORUS, cylinder_decomposition, epsilon0, parse_origami
+from cuspflow.origami import TORUS, cylinder_decomposition, epsilon0, parse_origami, word_matrix
 
 L_ORIGAMI = parse_origami("3; (1 2); (1 3)")
 ORBIT8 = parse_origami("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)")
@@ -206,6 +208,34 @@ def test_determinism_same_seed():
     ]
 
 
+@pytest.mark.parametrize(
+    "field, value", [("T", math.inf), ("T", math.nan), ("s_xi", math.nan)]
+)
+def test_config_rejects_non_finite(field, value):
+    kwargs = {"surface": TORUS, "T": 10.0, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=field):
+        TrajectoryConfig(**kwargs)
+
+
+def test_neighbour_table_words_and_nodes():
+    # each row's word sends its node (a, b) of the bracket to (1, 0), the
+    # horizontal direction whose cylinders the walk reads
+    for a, b, word in _NEIGHBOURS:
+        m11, m12, m21, m22 = word_matrix(word)
+        assert (m11 * a + m12 * b, m21 * a + m22 * b) == (1, 0), (a, b)
+    # the rows are the Stern-Brocot tree below the mediant (1, 1) of the
+    # bracket [(0, 1), (1, 0)], to depth two, in breadth-first order
+    level, nodes = [((0, 1), (1, 0))], []
+    for _ in range(3):
+        next_level = []
+        for left, right in level:
+            mid = (left[0] + right[0], left[1] + right[1])
+            nodes.append(mid)
+            next_level += [(left, mid), (mid, right)]
+        level = next_level
+    assert [(a, b) for a, b, _ in _NEIGHBOURS] == nodes
+
+
 # ---------------------------------------------------------------------------
 # brute-force sweep: the candidate family covers every horoball met
 
@@ -231,6 +261,9 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
     # compared, including those that exit after T (engine records with
     # complete=False).  Only rational-terminal records (t_exit = math.inf)
     # are left out on both sides: the kernel reports them as unbounded.
+    # The excursion E is compared for crossings that enter after the base
+    # (t_entry > 0); a crossing under way at the base is measured from the
+    # base's projection by the kernel but in full by the engine.
     #
     # q < 130 covers every such crossing.  The horoball at p/q has
     # Euclidean diameter n*eps/(c^2 q^2) with c >= 1, a point at height y
@@ -273,14 +306,16 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
                     continue
                 t_teich = geom.t_entry / 2
                 if t_teich < T and geom.t_exit > geom.t_entry + 1e-9:
-                    found[(p if q else 1, q, idx)] = geom
+                    found[(p if q else 1, q, idx)] = (geom, ball)
     assert found, "the sweep met no horoball, so it checks nothing"
     assert set(found) == set(engine)
-    for key, geom in found.items():
+    for key, (geom, ball) in found.items():
         assert engine[key].t_entry == pytest.approx(geom.t_entry / 2, abs=1e-7)
         assert engine[key].t_exit == pytest.approx(geom.t_exit / 2, abs=1e-7)
         assert engine[key].phi == pytest.approx(geom.phi, rel=1e-6, abs=1e-12)
         assert engine[key].phi_max == pytest.approx(geom.phi_max, rel=1e-6)
+        if engine[key].t_entry > 0:
+            assert engine[key].E == pytest.approx(excursion_exact(ray, ball), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
