@@ -47,10 +47,6 @@ class PrecisionReal:
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    @property
-    def exact(self) -> bool:
-        return self.bits is None
-
     @classmethod
     def from_fraction(cls, frac) -> "PrecisionReal":
         frac = Fraction(frac)
@@ -71,10 +67,6 @@ class PrecisionReal:
         if bits is None:
             bits = -exp
         return cls(int(man), 1 << (-exp), bits)
-
-    def to_mpf(self, prec: int):
-        with mpmath.mp.workprec(prec):
-            return mpmath.mpf(self.num) / self.den
 
 
 def _step_loss(num: int, den: int) -> int:
@@ -138,14 +130,7 @@ def convergents(expansion: Union[CfExpansion, Sequence[int]]):
     coeffs = expansion.coeffs if isinstance(expansion, CfExpansion) else tuple(expansion)
     if not coeffs:
         raise ValueError("empty expansion has no convergents")
-    out = []
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    for a in coeffs:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        out.append(Fraction(p, q))
-    return out
+    return [Fraction(p, q) for p, q in convergent_pairs(coeffs)]
 
 
 def convergent_pairs(coeffs: Iterable[int]):

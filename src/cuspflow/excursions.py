@@ -46,7 +46,6 @@ from .hyperbolic import UnboundedExcursionError
 from .origami import Origami, act_L, act_S_inv, act_T, epsilon0, horizontal_cylinders
 
 RECORD_PREC = 320  # bits; record quantities start from exact integers
-PRECISION_GUARD_BITS = 64
 KAPPA = 4.0  # denominator horizon safety factor
 
 
@@ -77,7 +76,6 @@ def twist_count(area, eps, phi, phi_max):
 
 @dataclass
 class ExcursionRecord:
-    label: str
     p: int
     q: int
     cyl_index: int
@@ -90,6 +88,12 @@ class ExcursionRecord:
     E_area: float
     tw: float
     complete: bool
+
+    @property
+    def label(self) -> str:
+        """``p/q#cyl_index``; formatted on demand, as p and q can have more
+        digits than ``int`` converts to ``str`` by default."""
+        return f"{self.p}/{self.q}#{self.cyl_index}"
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,16 @@ class DroppedSummary:
 
 @dataclass
 class TrajectoryResult:
+    """What the walk found, and how it stopped.
+
+    ``exhausted`` is always False: the walk stops at its denominator
+    horizon, and theta always carries enough bits to reach it (see the
+    comment where ``enumerate_excursions`` samples theta).  The flag stays
+    for readers that report it.
+    """
+
     records: List[ExcursionRecord]
-    surface: Origami
-    T: float
     eps: float
-    epsilon0: float
-    xi: float
-    s_xi: float
     theta_num: int
     theta_den: int
     coefficients: Tuple[int, ...]
@@ -233,7 +240,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     """All excursions of the ray i -> theta with Teichmueller entry time < T."""
     o = cfg.surface
     o.validate()
-    e0 = epsilon0(o)
     eps = cfg.resolved_eps()
     eps_frac = Fraction(eps)
     if cfg.theta is not None:
@@ -242,13 +248,14 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         theta = Fraction(cfg.theta)
         if not 0 < theta < 1:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
-        theta_exact = True
     else:
         # need ~2.89 T bits to separate theta from denominators up to
-        # KAPPA e^T; round up generously
+        # KAPPA e^T; round up generously.  With den = 2^bits, a 64-bit
+        # guard leaves (bits + 1 - 64) // 2 bits of q resolvable, which
+        # exceeds q_bit_cap below by at least 476 bits for every T > 0, so
+        # the walk always stops at its horizon, never for lack of precision
         bits = int(math.ceil(2.9 * cfg.T)) + 1024
         theta = sample_theta(bits, Random(cfg.seed))
-        theta_exact = False
     num, den = theta.numerator, theta.denominator
 
     n = o.n
@@ -256,10 +263,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     # horizon: candidates up to q <= KAPPA e^T; hit tests are exact so the
     # cap only needs to be generous
     q_bit_cap = int(math.ceil((cfg.T + math.log(KAPPA)) * 1.4426950408889634)) + 2
-    if theta_exact:
-        precision_bit_cap = q_bit_cap + 1
-    else:
-        precision_bit_cap = (den.bit_length() - PRECISION_GUARD_BITS) // 2
 
     # hit thresholds h_w = c^2 / (n eps), one per circumference c
     thresholds = [None] + [Fraction(c * c, n) / eps_frac for c in range(1, n + 1)]
@@ -271,8 +274,7 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     def test_candidate(p, q, A, B, node: Origami):
         nonlocal clamps
         tested.add((p, q))
-        cyls = horizontal_cylinders(node)
-        for idx, (circ, height) in enumerate(sorted(cyls, reverse=True)):
+        for idx, (circ, height) in enumerate(horizontal_cylinders(node)):
             h_w = thresholds[circ]
             # miss unless (2 A B h_w / (den^2 + num^2))^2 <= 1, exactly
             if 2 * abs(A) * abs(B) * h_w.numerator > norm * h_w.denominator:
@@ -291,7 +293,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
 
     bracket = _Interval(0, 1, num, den, 1, 0, -den, num, o)
     runs: List[int] = []
-    exhausted = False
     rational_terminal = False
 
     def test_interval_nodes(iv: _Interval):
@@ -303,9 +304,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     while True:
         qm = bracket.qL + bracket.qR
         if qm.bit_length() > q_bit_cap:
-            break
-        if qm.bit_length() > precision_bit_cap:
-            exhausted = True
             break
         Am = bracket.AL + bracket.AR
         # the walk moves in one direction for a whole run (one continued
@@ -341,16 +339,11 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     overlap = _count_overlaps(records)
     return TrajectoryResult(
         records=records,
-        surface=o,
-        T=cfg.T,
         eps=eps,
-        epsilon0=e0,
-        xi=cfg.xi,
-        s_xi=cfg.s_xi,
         theta_num=num,
         theta_den=den,
         coefficients=_coefficients_from_runs(runs),
-        exhausted=exhausted,
+        exhausted=False,
         rational_terminal=rational_terminal,
         overlap_pairs=overlap,
         base_inside_clamps=clamps,
@@ -375,11 +368,11 @@ def _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, T):
                 return None
             t_exit, phi, E, tw = math.inf, 0, 0, 0
         else:
+            # x <= 1 exactly (the walk's hit test), so also after rounding;
+            # x > 0 as A != 0 and B > 0
             x = mpmath.mpf(4 * A * A * B * B * h_w.numerator**2) / mpmath.mpf(
                 norm * norm * h_w.denominator**2
             )
-            if x > 1:
-                return None
             s = mpmath.sqrt(one - x)
             u_minus = 2 * mpmath.mpf(B * B) / norm * hw / (1 + s)
             u_plus = (1 + s) * mpmath.mpf(norm) / (2 * mpmath.mpf(A * A) * hw)
@@ -389,17 +382,13 @@ def _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, T):
             if t_entry >= T:
                 return None
             t_exit = float(mpmath.log(u_plus) / 2)
-            if x == 0:
-                E = mpmath.inf
-            else:
-                E = 2 * mpmath.sqrt((one - x) / x)
+            E = 2 * mpmath.sqrt((one - x) / x)
             phi = 2 * mpmath.atan2(abs(mpmath.mpf(A)), abs(mpmath.mpf(B)))
         inv_h_app = mpmath.mpf(norm) / (hw * mpmath.mpf(A * A + B * B))
         phi_max = 2 * mpmath.asin(min(one, inv_h_app))
         if A != 0:
             tw = twist_count(mpmath.mpf(weight), mpmath.mpf(eps), phi, phi_max)
         return ExcursionRecord(
-            label=f"{p}/{q}#{idx}",
             p=int(p),
             q=int(q),
             cyl_index=idx,

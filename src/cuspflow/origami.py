@@ -304,66 +304,53 @@ def direction_word(p: int, q: int):
 
 @dataclass(frozen=True)
 class Cylinder:
-    direction: Tuple[int, int]
     circumference: int
     height: int
     area_fraction: Fraction
-    label: str
-
-    @property
-    def area(self) -> float:
-        return float(self.area_fraction)
 
 
 def horizontal_cylinders(o: Origami) -> List[Tuple[int, int]]:
-    """(circumference, height) of the horizontal cylinders.
+    """(circumference, height) of the horizontal cylinders, largest first.
 
-    Rows are cycles of h.  The seam above a row is singular iff some
-    corner on it (the bottom-left corners of the squares v[j], j in the
-    row) is a cone point; the cylinder keeps climbing while seams stay
-    regular, wrapping around if it never meets one.
+    Rows are cycles of h.  The seam above a row is regular iff
+    ``h[v[x]] == v[h[x]]`` for every square x of the row: the corner at the
+    top-left of h x is a cone point iff the corner rotation
+    ``v h v^-1 h^-1`` moves it, i.e. iff h v x != v h x.  Across a regular
+    seam v commutes with h, so it maps the row onto the row above and the
+    circumference is kept.  A cylinder climbs while seams stay regular,
+    closing on itself if it never meets a singular one.
+
+    The list is sorted in descending (circumference, height) order; a
+    cylinder's position in it is its ``cyl_index``.
     """
-    rows = _cycles(o.h)
-    row_id = {}
+    h, v = o.h, o.v
+    rows = _cycles(h)
+    row_of = [0] * o.n
     for idx, row in enumerate(rows):
         for x in row:
-            row_id[x] = idx
-    orbit_size = {}
-    for cyc in _cycles(corner_rotation(o)):
-        for x in cyc:
-            orbit_size[x] = len(cyc)
-    above: List = []
-    for row in rows:
-        if any(orbit_size[o.v[j]] > 1 for j in row):
-            above.append(None)  # singular seam: cylinder stops here
-        else:
-            above.append(row_id[o.v[row[0]]])
-    has_below = set(link for link in above if link is not None)
+            row_of[x] = idx
+    # above[r]: the row across a regular seam above row r, None if singular
+    above = [
+        row_of[v[row[0]]] if all(h[v[x]] == v[h[x]] for x in row) else None
+        for row in rows
+    ]
+    has_below = set(above)
+    # stacks start at rows with no regular seam below; what is left after
+    # them are closed stacks, which may start anywhere
+    starts = [r for r in range(len(rows)) if r not in has_below] + list(range(len(rows)))
+    seen = [False] * len(rows)
     out = []
-    visited = set()
-    # path chains start at rows with a singular seam below them
-    for start in range(len(rows)):
-        if start in visited or start in has_below:
+    for start in starts:
+        if seen[start]:
             continue
         height = 0
         cur = start
-        while cur is not None and cur not in visited:
-            visited.add(cur)
-            assert len(rows[cur]) == len(rows[start])
+        while cur is not None and not seen[cur]:
+            seen[cur] = True
             height += 1
             cur = above[cur]
         out.append((len(rows[start]), height))
-    # anything left lies on pure cycles (torus-like bands)
-    for start in range(len(rows)):
-        if start in visited:
-            continue
-        height = 0
-        cur = start
-        while cur not in visited:
-            visited.add(cur)
-            height += 1
-            cur = above[cur]
-        out.append((len(rows[start]), height))
+    out.sort(reverse=True)
     return out
 
 
@@ -379,18 +366,14 @@ def _norm_direction(p: int, q: int) -> Tuple[int, int]:
 
 @lru_cache(maxsize=65536)
 def _decomposition_cached(o: Origami, p: int, q: int):
-    remarked = apply_word(o, direction_word(p, q))
-    return tuple(sorted(horizontal_cylinders(remarked), reverse=True))
+    return tuple(horizontal_cylinders(apply_word(o, direction_word(p, q))))
 
 
 def cylinder_decomposition(o: Origami, direction: Tuple[int, int]) -> List[Cylinder]:
-    """Maximal cylinders in a primitive rational direction; areas sum to 1."""
+    """Maximal cylinders in a primitive rational direction, largest first
+    (the order of ``horizontal_cylinders``); areas sum to 1."""
     p, q = _norm_direction(*direction)
-    cyls = _decomposition_cached(o, p, q)
-    out = [
-        Cylinder((p, q), c, ht, Fraction(c * ht, o.n), f"{p}/{q}#{k}")
-        for k, (c, ht) in enumerate(cyls)
-    ]
+    out = [Cylinder(c, ht, Fraction(c * ht, o.n)) for c, ht in _decomposition_cached(o, p, q)]
     assert sum(cyl.area_fraction for cyl in out) == 1
     return out
 

@@ -200,6 +200,17 @@ def test_eps_above_structural_bound_rejected():
     enumerate_excursions(TrajectoryConfig(surface=L_ORIGAMI, T=4.0, theta=theta, eps=eps0))
 
 
+def test_records_past_the_int_to_str_limit():
+    # q runs past 10^4300 (the default int-to-str limit) after t ~ 9,900;
+    # building a record must not format p or q
+    coeffs = [3, 10**2200, 60, 10**2200, 60, 5]
+    cfg = TrajectoryConfig(surface=TORUS, T=10300.0, theta=cf_value(coeffs), eps=0.25)
+    result = enumerate_excursions(cfg)
+    assert result.rational_terminal and result.coefficients == tuple(coeffs)
+    assert len(result.records) == 5
+    assert any(r.complete and r.q.bit_length() > 14300 for r in result.records)
+
+
 def test_determinism_same_seed():
     a = enumerate_excursions(TrajectoryConfig(surface=TORUS, T=150.0, seed=5))
     b = enumerate_excursions(TrajectoryConfig(surface=TORUS, T=150.0, seed=5))
@@ -324,7 +335,6 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
 
 def _synthetic(E, t_entry, t_exit, weight=1.0):
     return ExcursionRecord(
-        label="s",
         p=0,
         q=1,
         cyl_index=0,

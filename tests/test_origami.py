@@ -23,6 +23,7 @@ from cuspflow.origami import (
     epsilon0,
     flat_length_sq,
     genus,
+    horizontal_cylinders,
     parse_origami,
     sl2z_orbit,
     stratum,
@@ -160,6 +161,53 @@ def test_l_origami_diagonal():
     # hand oracle: shearing the L by [[1,0],[1,1]]^-1 gives h' = (1 3 2),
     # one row of circumference 3 with a singular seam
     assert _table(cylinder_decomposition(L_ORIGAMI, (1, 1))) == [(3, 1, Fraction(1))]
+
+
+def _cylinders_from_cone_points(o):
+    # oracle: the seam above a row is singular iff some corner on it (the
+    # bottom-left corner of v[j], j in the row) lies on a corner-rotation
+    # cycle of length > 1; a cylinder is a connected set of rows joined by
+    # regular seams
+    from cuspflow.origami import _cycles
+
+    cone = {x for cyc in _cycles(corner_rotation(o)) if len(cyc) > 1 for x in cyc}
+    rows = _cycles(o.h)
+    row_of = {x: r for r, row in enumerate(rows) for x in row}
+    parent = list(range(len(rows)))
+
+    def find(r):
+        while parent[r] != r:
+            r = parent[r]
+        return r
+
+    for r, row in enumerate(rows):
+        if not any(o.v[j] in cone for j in row):
+            parent[find(r)] = find(row_of[o.v[row[0]]])
+    stacks = {}
+    for r in range(len(rows)):
+        stacks.setdefault(find(r), []).append(len(rows[r]))
+    return sorted(((c[0], len(c)) for c in stacks.values()), reverse=True)
+
+
+def test_horizontal_cylinders_match_cone_point_oracle():
+    rng = random.Random(4)
+    found = 0
+    while found < 2000:
+        n = rng.randint(1, 9)
+        h = list(range(n))
+        v = list(range(n))
+        rng.shuffle(h)
+        rng.shuffle(v)
+        o = Origami(n, tuple(h), tuple(v))
+        try:
+            o.validate()
+        except DisconnectedSurfaceError:
+            continue
+        found += 1
+        cyls = horizontal_cylinders(o)
+        assert cyls == sorted(cyls, reverse=True)
+        assert sum(c * ht for c, ht in cyls) == n
+        assert cyls == _cylinders_from_cone_points(o)
 
 
 def test_direction_word_sends_direction_home():
