@@ -21,12 +21,23 @@ a direction (p, q) put
     B = q + p theta        (integer B_int / den)
 
 Both evolve additively along mediants, so the walk is exact integer
-arithmetic.  With h_w = c^2 / (n eps) the ray misses the horoball at p/q
-unless x = (2 A B h_w / (1 + theta^2))^2 <= 1, an exact integer
-comparison (h_w takes one of n values, computed once per trajectory).
-Only actual hits pay for arbitrary-precision evaluation of times, angles,
-excursion and twist, and those start from exact integers, so there is no
-precision loss anywhere in the pipeline.
+arithmetic.  With h_w = c^2 / (n eps) (one of n values, computed once per
+trajectory) the ray misses the horoball at p/q unless
+x = (2 A B h_w / (1 + theta^2))^2 <= 1, that is unless
+
+    R = 2 |A_int| B_int h_w / (num^2 + den^2) <= 1.
+
+The integers run to thousands of bits, so each cylinder's test is first
+put to a certified float filter (``_filter_verdict``).  It rebuilds R in
+floats from the top 62 bits of each integer, within relative error
+``FILTER_ERROR`` = 10 * 2^-53 (about 1.1e-15, derived in its docstring),
+and answers only when that float lies outside 1 +- ``MARGIN`` (1e-12):
+there its answer is the exact one.  Inside the band, where tangencies
+lie, the exact integer comparison decides, and
+``TrajectoryResult.exact_hit_tests`` counts those.  Every verdict is
+therefore exact.  Only actual hits pay for arbitrary-precision evaluation
+of times, angles, excursion and twist, and those start from exact
+integers, so there is no precision loss anywhere in the pipeline.
 
 Times are Teichmueller times: half the hyperbolic arclength (the diagonal
 flow moves i to e^{2t} i).
@@ -42,11 +53,22 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .hyperbolic import UnboundedExcursionError
 from .origami import Origami, act_L, act_S_inv, act_T, epsilon0, horizontal_cylinders
 
 RECORD_PREC = 320  # bits; record quantities start from exact integers
 KAPPA = 4.0  # denominator horizon safety factor
+
+# The hit-test filter (see ``_filter_verdict``): its float ratio is within
+# relative error FILTER_ERROR of the exact one, and it decides only outside
+# 1 +- MARGIN, some 900 times wider than that error.
+FILTER_ERROR = 10 * 2.0**-53
+MARGIN = 1e-12
+TOP_BITS = 62  # bits of each integer the filter keeps
+MAX_EXPONENT = 900  # filter exponents beyond this are decided by their sign
+
+
+class UnboundedExcursionError(ValueError):
+    """The excursion never leaves the horoball (ray aimed at the tangency)."""
 
 
 def xi_prime(xi: float) -> float:
@@ -153,12 +175,81 @@ class TrajectoryResult:
     rational_terminal: bool
     overlap_pairs: int
     base_inside_clamps: int
+    exact_hit_tests: int  # hit tests the float filter left to the exact comparison
 
 
 def sample_theta(bits: int, rng: Random) -> Fraction:
     """Uniform dyadic direction in (0, 1) at the given resolution."""
     num = rng.getrandbits(bits) | 1  # odd: never terminates early in lowest terms
     return Fraction(num, 1 << bits)
+
+
+def _top(x: int) -> Tuple[float, int]:
+    """x >= 0 as (f, s) with x ~ f 2^s: f is the float of x's top
+    ``TOP_BITS`` bits (x shifted left when shorter), so 2^61 <= f <= 2^62
+    for x > 0, and f = 0 for x = 0."""
+    s = x.bit_length() - TOP_BITS
+    return float(x >> s if s >= 0 else x << -s), s
+
+
+def _ratio_top(a: int, b: int, norm_top: Tuple[float, int]) -> Tuple[float, int]:
+    """2 a b / norm as (m, e), ~ m 2^e, from the tops of a, b >= 0 and of
+    norm > 0 (``norm_top = _top(norm)``, taken once per trajectory)."""
+    fa, sa = _top(a)
+    fb, sb = _top(b)
+    return 2 * fa * fb / norm_top[0], sa + sb - norm_top[1]
+
+
+def _fraction_top(h: Fraction) -> Tuple[float, int]:
+    """h > 0 as (f, s), ~ f 2^s, from the tops of its numerator and denominator."""
+    fn, sn = _top(h.numerator)
+    fd, sd = _top(h.denominator)
+    return fn / fd, sn - sd
+
+
+def _filter_verdict(ratio: Tuple[float, int], h_top: Tuple[float, int]) -> Optional[bool]:
+    """Certified float verdict on the hit test 2 |A| B h_w <= norm.
+
+    ``ratio = _ratio_top(|A|, B, _top(norm))`` and ``h_top =
+    _fraction_top(h_w)``.  Returns True (hit) or False (miss) when that
+    verdict is certain, and None when the exact integer comparison must
+    decide.
+
+    Error bound: r = ldexp(m f_h, e) stands for R = 2 |A| B h_w / norm.
+    Five integers (|A|, B, norm and h_w's numerator and denominator) are
+    truncated to their top 62 bits, with relative error below t = 2^-61
+    each (shorter ones are shifted, exactly), and converted to float, with
+    error at most u = 2^-53 each (round to nearest).  Then come two
+    products (2 fa fb and m f_h) and two quotients (by f_norm, and
+    f_n / f_d), u each, and ldexp, which is exact: m f_h lies in
+    [2^60, 2^65] and |e| <= MAX_EXPONENT, so the result is a normal float.
+    Each of the 9 roundings and 5 truncations puts a factor within
+    [1 - u, 1/(1 - u)] or [1 - t, 1/(1 - t)] on r / R, so
+
+        |r / R - 1| <= (1 - u)^-9 (1 - t)^-5 - 1 < 9.1 u < FILTER_ERROR = 10 u,
+
+    about 1.1e-15.  As FILTER_ERROR < MARGIN, r > 1 + MARGIN gives R > 1,
+    a certain miss, and r < 1 - MARGIN gives R < 1, a certain hit; the
+    band between, where tangencies (R = 1) lie, goes to the exact test.
+    Exponents beyond +-MAX_EXPONENT (a tiny eps or an extreme theta) are
+    decided before ldexp could overflow: e > MAX_EXPONENT puts R above
+    2^960, a miss, and e < -MAX_EXPONENT puts it below 2^-835, a hit.
+    A = 0, the rational terminal, is a hit (R = 0).
+    """
+    m = ratio[0] * h_top[0]
+    if m == 0:
+        return True
+    e = ratio[1] + h_top[1]
+    if e > MAX_EXPONENT:
+        return False
+    if e < -MAX_EXPONENT:
+        return True
+    r = math.ldexp(m, e)
+    if r > 1 + MARGIN:
+        return False
+    if r < 1 - MARGIN:
+        return True
+    return None
 
 
 def _coefficients_from_runs(runs: List[int]) -> Tuple[int, ...]:
@@ -264,20 +355,29 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     # cap only needs to be generous
     q_bit_cap = int(math.ceil((cfg.T + math.log(KAPPA)) * 1.4426950408889634)) + 2
 
-    # hit thresholds h_w = c^2 / (n eps), one per circumference c
+    # hit thresholds h_w = c^2 / (n eps), one per circumference c, and
+    # their tops for the float filter
     thresholds = [None] + [Fraction(c * c, n) / eps_frac for c in range(1, n + 1)]
+    h_tops = [None] + [_fraction_top(h) for h in thresholds[1:]]
+    norm_top = _top(norm)
 
     records: List[ExcursionRecord] = []
     tested = set()
     clamps = 0
+    exact_tests = 0
 
     def test_candidate(p, q, A, B, node: Origami):
-        nonlocal clamps
+        nonlocal clamps, exact_tests
         tested.add((p, q))
+        ratio = _ratio_top(abs(A), abs(B), norm_top)
         for idx, (circ, height) in enumerate(horizontal_cylinders(node)):
             h_w = thresholds[circ]
-            # miss unless (2 A B h_w / (den^2 + num^2))^2 <= 1, exactly
-            if 2 * abs(A) * abs(B) * h_w.numerator > norm * h_w.denominator:
+            hit = _filter_verdict(ratio, h_tops[circ])
+            if hit is None:
+                exact_tests += 1
+                # hit iff (2 A B h_w / (den^2 + num^2))^2 <= 1, exactly
+                hit = 2 * abs(A) * abs(B) * h_w.numerator <= norm * h_w.denominator
+            if not hit:
                 continue
             rec = _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, cfg.T)
             if rec is None:
@@ -347,6 +447,7 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         rational_terminal=rational_terminal,
         overlap_pairs=overlap,
         base_inside_clamps=clamps,
+        exact_hit_tests=exact_tests,
     )
 
 

@@ -89,14 +89,6 @@ def _cycles(perm):
     return out
 
 
-def _cycle_string(perm) -> str:
-    parts = []
-    for cycle in _cycles(perm):
-        if len(cycle) > 1:
-            parts.append("(" + " ".join(str(x + 1) for x in cycle) + ")")
-    return "".join(parts) if parts else "()"
-
-
 # ---------------------------------------------------------------------------
 # origami
 
@@ -120,9 +112,6 @@ class Origami:
             raise DisconnectedSurfaceError(
                 f"surface splits into {len(comps)} components: {pretty}"
             )
-
-    def describe(self) -> str:
-        return f"{self.n}; {_cycle_string(self.h)}; {_cycle_string(self.v)}"
 
 
 def _orbit_components(h, v):

@@ -2,8 +2,8 @@
 
 This is the float kernel the tests compare the exact trajectory engine
 (``cuspflow.excursions``) against: it measures horoball crossings of a ray
-in double precision from the geometry alone.  The engine itself uses only
-``UnboundedExcursionError`` from here.
+in double precision from the geometry alone.  It shares only
+``UnboundedExcursionError`` with the engine.
 
 Conventions
 -----------
@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
+from cuspflow.excursions import UnboundedExcursionError
+
 Boundary = Union[float, int]  # real number, or math.inf for the cusp at infinity
 
 DET_TOL = 1e-12
@@ -50,10 +52,6 @@ DET_TOL = 1e-12
 
 class InvalidMatrixError(ValueError):
     """Matrix is not (numerically) in SL(2, R)."""
-
-
-class UnboundedExcursionError(ValueError):
-    """The excursion never leaves the horoball (ray aimed at the tangency)."""
 
 
 class Mat2(NamedTuple):

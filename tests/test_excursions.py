@@ -9,6 +9,7 @@ from cuspflow.excursions import (
     _NEIGHBOURS,
     ExcursionRecord,
     TrajectoryConfig,
+    UnboundedExcursionError,
     complete_records,
     enumerate_excursions,
     filter_excursions,
@@ -16,15 +17,14 @@ from cuspflow.excursions import (
     twist_count,
     xi_prime,
 )
-from cuspflow.hyperbolic import (
+from cuspflow.origami import TORUS, cylinder_decomposition, epsilon0, parse_origami, word_matrix
+from oracles.hyperbolic import (
     Horoball,
     UhpPoint,
-    UnboundedExcursionError,
     excursion_exact,
     geodesic_ray,
     intersect,
 )
-from cuspflow.origami import TORUS, cylinder_decomposition, epsilon0, parse_origami, word_matrix
 
 L_ORIGAMI = parse_origami("3; (1 2); (1 3)")
 ORBIT8 = parse_origami("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)")

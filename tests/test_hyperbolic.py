@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspflow.hyperbolic import (
+from cuspflow.excursions import UnboundedExcursionError
+from oracles.hyperbolic import (
     ExcursionGeometry,
     Horoball,
     InvalidMatrixError,
     Mat2,
     UhpPoint,
-    UnboundedExcursionError,
     dist,
     excursion_angle,
     excursion_exact,
@@ -206,7 +206,7 @@ def _point_on_circle(center, radius, angle):
 def test_excursion_tangent_ray_is_zero():
     # geodesic through i tangent to y = h: radius h, center sqrt(h^2 - 1).
     # exact tangency gives the degenerate chord; a hair inside stays tiny
-    from cuspflow.hyperbolic import chord_excursion_length, crossing_roots
+    from oracles.hyperbolic import chord_excursion_length, crossing_roots
 
     assert chord_excursion_length(1.0) == 0.0
     roots = crossing_roots(0.5, 0.5, 2.0)  # x = (2*0.25*2)^2 = 1 exactly
