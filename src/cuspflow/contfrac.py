@@ -13,10 +13,9 @@ rationals carry no budget and expand until the rational terminates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 import mpmath
 
@@ -125,16 +124,8 @@ def cf_expand(x: PrecisionReal, n_max: int) -> CfExpansion:
     return CfExpansion(tuple(coeffs), exhausted)
 
 
-def convergents(expansion: Union[CfExpansion, Sequence[int]]):
-    """Convergents p_k/q_k of ``[0; a1, a2, ...]`` by the standard recurrence."""
-    coeffs = expansion.coeffs if isinstance(expansion, CfExpansion) else tuple(expansion)
-    if not coeffs:
-        raise ValueError("empty expansion has no convergents")
-    return [Fraction(p, q) for p, q in convergent_pairs(coeffs)]
-
-
 def convergent_pairs(coeffs: Iterable[int]):
-    """Generator of (p_k, q_k) integer pairs, avoiding Fraction overhead."""
+    """Convergents (p_k, q_k) of ``[0; a1, a2, ...]`` by the standard recurrence."""
     p_prev, p = 1, 0
     q_prev, q = 0, 1
     for a in coeffs:
@@ -149,16 +140,3 @@ def trimmed_sum(values):
     if not values:
         raise ValueError("trimmed sum of an empty sequence")
     return sum(values) - max(values)
-
-
-def dv_statistic(expansion: Union[CfExpansion, Sequence[int]], n: int) -> float:
-    """Trimmed coefficient sum over n log n (natural log)."""
-    coeffs = expansion.coeffs if isinstance(expansion, CfExpansion) else tuple(expansion)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if len(coeffs) < n:
-        raise ValueError(f"need {n} coefficients, have {len(coeffs)}")
-    return float(trimmed_sum(coeffs[:n])) / (n * math.log(n))
-
-
-DV_LIMIT = 1 / math.log(2)

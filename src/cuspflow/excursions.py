@@ -36,8 +36,12 @@ there its answer is the exact one.  Inside the band, where tangencies
 lie, the exact integer comparison decides, and
 ``TrajectoryResult.exact_hit_tests`` counts those.  Every verdict is
 therefore exact.  Only actual hits pay for arbitrary-precision evaluation
-of times, angles, excursion and twist, and those start from exact
-integers, so there is no precision loss anywhere in the pipeline.
+of times, excursion and twist (``_build_record``).  Each is a closed form
+in three integers of the hit test, g = norm hd, k = 2 |A_int| B_int hn
+and m = hn (A_int^2 + B_int^2) for h_w = hn / hd, evaluated in one
+``RECORD_PREC``-bit pass after the differences that could cancel are
+taken exactly in integers, so there is no precision loss anywhere in the
+pipeline.
 
 Times are Teichmueller times: half the hyperbolic arclength (the diagonal
 flow moves i to e^{2t} i).
@@ -67,10 +71,6 @@ TOP_BITS = 62  # bits of each integer the filter keeps
 MAX_EXPONENT = 900  # filter exponents beyond this are decided by their sign
 
 
-class UnboundedExcursionError(ValueError):
-    """The excursion never leaves the horoball (ray aimed at the tangency)."""
-
-
 def xi_prime(xi: float) -> float:
     """The depth threshold constant: 0.5 sqrt(1 - 1/xi^2), in (0, 1/2)."""
     if not xi > 1:
@@ -78,34 +78,18 @@ def xi_prime(xi: float) -> float:
     return 0.5 * math.sqrt(1 - 1 / (xi * xi))
 
 
-def twist_count(area, eps, phi, phi_max):
-    """Twists across one excursion, computed in mpmath at the working precision:
-
-        (2 A / eps) (sin phi_max / sin phi) sqrt(1 - sin^2 phi / sin^2 phi_max)
-    """
-    if phi == 0:
-        raise UnboundedExcursionError("phi = 0: ray aimed at the tangency")
-    if phi < 0 or phi > phi_max:
-        raise ValueError(f"need 0 < phi <= phi_max, got phi={phi}, phi_max={phi_max}")
-    s1 = mpmath.sin(phi)
-    s2 = mpmath.sin(phi_max)
-    ratio_sq = (s1 * s1) / (s2 * s2)
-    radicand = 1 - ratio_sq
-    if radicand < 0:
-        radicand = 0 * radicand
-    return (2 * area / eps) * (s2 / s1) * mpmath.sqrt(radicand)
-
-
 @dataclass
 class ExcursionRecord:
+    """One visit of the ray to the horoball of cylinder ``cyl_index`` at
+    p/q.  ``_build_record`` gives every field in closed form from the hit
+    test's integers."""
+
     p: int
     q: int
     cyl_index: int
     weight: float
     t_entry: float
     t_exit: float  # math.inf when the ray runs into the tangency
-    phi: float  # may underflow to 0.0 for very late excursions
-    phi_max: float
     E: float  # full-crossing value; 0.0 for tangency-bound records
     E_area: float
     tw: float
@@ -143,7 +127,7 @@ class TrajectoryConfig:
         if self.eps is None:
             return e0 / 2
         if not 0 < self.eps <= e0:
-            raise ValueError(f"eps={self.eps} exceeds the structural bound epsilon0={e0}")
+            raise ValueError(f"eps={self.eps} must lie in (0, epsilon0], and epsilon0={e0}")
         return self.eps
 
 
@@ -455,40 +439,69 @@ def _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, T):
     """The record of the ray's visit to one horoball at p/q, or None if it
     enters at or after T or crossed before the base.
 
+    Every quantity comes from three integers of the hit test, with h_w =
+    hn / hd:
+
+        g = norm hd,   k = 2 |A| B hn  (hit iff k <= g),   m = hn (A^2 + B^2).
+
+    With root = sqrt((g - k)(g + k)) the crossing times are u = e^{2t}:
+
+        u- = 2 B^2 hn / (g + root),    u+ = (g + root) / (2 A^2 hn),
+
+    the excursion is E = 2 root / k, and the twist is
+
+        tw = (2 weight / eps) sqrt(max(0, 4 (m - g)(m + g) g^2 - m^2 k^2)) / (m k),
+
+    the paper's twist in its angle form, with the sine of the ray's angle to
+    the tangency written as k / m and that of the half opening of the cone
+    of entering directions as g / m (so the radicand is negative, and tw =
+    0, when m < g: the base lies inside the horoball).
+
+    One ``RECORD_PREC``-bit mpf pass evaluates these.  The differences
+    g -+ k and m -+ g are taken exactly in integers before rounding, so
+    grazing crossings (k close to g) and bases near the horoball (m close
+    to g) lose nothing to cancellation.  The radicand's outer difference
+    is taken in mpf: divided by 4 g^2 m^2 it is 1 - (g/m)^2 - (k/2g)^2,
+    whose last term is at most 1/4 (k <= g), so it loses more than one bit
+    only when g/m > 1/sqrt(2), a base close to the horoball.
+
     A == 0 is the rational terminal: the ray ends at p/q, enters the
-    horoball and never leaves, so t_exit = inf and phi = E = tw = 0.
+    horoball at u- = B^2 hn / g and never leaves, so t_exit = inf and
+    E = tw = 0.
     """
     weight = circ * height / n
+    hn = h_w.numerator
+    g = norm * h_w.denominator
+    # mpf(n) rounds an integer to the working precision; a bare int operand
+    # enters mpf arithmetic exactly, and dividing by one of thousands of bits
+    # costs a long division
+    mpf = mpmath.mpf
     with mpmath.mp.workprec(RECORD_PREC):
-        one = mpmath.mpf(1)
-        hw = mpmath.mpf(h_w.numerator) / h_w.denominator
         if A == 0:
-            u_entry = hw * mpmath.mpf(B * B) / norm
+            u_entry = mpf(B * B * hn) / mpf(g)
             t_entry = float(mpmath.log(u_entry) / 2) if u_entry > 1 else 0.0
             if t_entry >= T:
                 return None
-            t_exit, phi, E, tw = math.inf, 0, 0, 0
+            t_exit, E, tw = math.inf, 0, 0
         else:
-            # x <= 1 exactly (the walk's hit test), so also after rounding;
-            # x > 0 as A != 0 and B > 0
-            x = mpmath.mpf(4 * A * A * B * B * h_w.numerator**2) / mpmath.mpf(
-                norm * norm * h_w.denominator**2
-            )
-            s = mpmath.sqrt(one - x)
-            u_minus = 2 * mpmath.mpf(B * B) / norm * hw / (1 + s)
-            u_plus = (1 + s) * mpmath.mpf(norm) / (2 * mpmath.mpf(A * A) * hw)
+            A2, B2 = A * A, B * B
+            k = 2 * abs(A) * abs(B) * hn
+            m = hn * (A2 + B2)
+            # g - k >= 0 exactly (the walk's hit test)
+            root = mpmath.sqrt(mpf(g - k) * mpf(g + k))
+            g_root = mpf(g) + root
+            u_minus = mpf(2 * B2 * hn) / g_root
+            u_plus = g_root / mpf(2 * A2 * hn)
             if u_plus <= 1:
                 return None  # crossing happened before the base
             t_entry = float(mpmath.log(u_minus) / 2) if u_minus > 1 else 0.0
             if t_entry >= T:
                 return None
             t_exit = float(mpmath.log(u_plus) / 2)
-            E = 2 * mpmath.sqrt((one - x) / x)
-            phi = 2 * mpmath.atan2(abs(mpmath.mpf(A)), abs(mpmath.mpf(B)))
-        inv_h_app = mpmath.mpf(norm) / (hw * mpmath.mpf(A * A + B * B))
-        phi_max = 2 * mpmath.asin(min(one, inv_h_app))
-        if A != 0:
-            tw = twist_count(mpmath.mpf(weight), mpmath.mpf(eps), phi, phi_max)
+            E = 2 * root / mpf(k)
+            mk = mpf(m) * mpf(k)
+            radicand = 4 * mpf(m - g) * mpf(m + g) * mpf(g) ** 2 - mk * mk
+            tw = 2 * mpf(weight) / eps * mpmath.sqrt(max(0, radicand)) / mk
         return ExcursionRecord(
             p=int(p),
             q=int(q),
@@ -496,8 +509,6 @@ def _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, T):
             weight=weight,
             t_entry=t_entry,
             t_exit=t_exit,
-            phi=float(phi),
-            phi_max=float(phi_max),
             E=float(E),
             E_area=float(weight * E),
             tw=float(tw),

@@ -100,6 +100,8 @@ class Origami:
     v: Tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"square count n must be >= 1, got n={self.n}")
         for name, perm in (("h", self.h), ("v", self.v)):
             if len(perm) != self.n or sorted(perm) != list(range(self.n)):
                 raise ValueError(f"{name} is not a permutation of 0..{self.n - 1}: {perm}")
@@ -152,8 +154,6 @@ def parse_origami(text: str) -> Origami:
         n = int(parts[0])
     except ValueError:
         raise ValueError(f"square count {parts[0]!r} is not an integer") from None
-    if n < 1:
-        raise ValueError(f"square count must be >= 1, got {n}")
     h = _parse_cycles(parts[1], n, "h")
     v = _parse_cycles(parts[2], n, "v")
     o = Origami(n, h, v)
@@ -204,10 +204,6 @@ def stratum(o: Origami) -> Tuple[int, ...]:
     o.validate()
     orders = [len(c) - 1 for c in _cycles(corner_rotation(o))]
     return tuple(sorted((k for k in orders if k > 0), reverse=True))
-
-
-def genus(o: Origami) -> int:
-    return (sum(stratum(o)) + 2) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 This is the float kernel the tests compare the exact trajectory engine
 (``cuspflow.excursions``) against: it measures horoball crossings of a ray
-in double precision from the geometry alone.  It shares only
-``UnboundedExcursionError`` with the engine.
+in double precision from the geometry alone, and ``twist_count`` gives the
+paper's twist from the two base-point angles.  It shares no code with the
+engine.
 
 Conventions
 -----------
@@ -43,11 +44,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from cuspflow.excursions import UnboundedExcursionError
+import mpmath
 
 Boundary = Union[float, int]  # real number, or math.inf for the cusp at infinity
 
 DET_TOL = 1e-12
+
+
+class UnboundedExcursionError(ValueError):
+    """The excursion never leaves the horoball (ray aimed at the tangency)."""
 
 
 class InvalidMatrixError(ValueError):
@@ -367,3 +372,22 @@ def excursion_angle(geom: ExcursionGeometry):
     if geom.phi < 0 or geom.phi > geom.phi_max:
         raise ValueError(f"angles out of range: phi={geom.phi}, phi_max={geom.phi_max}")
     return geom.phi_max / geom.phi
+
+
+def twist_count(area, eps, phi, phi_max):
+    """Twists across one excursion, the paper's angle form, computed in
+    mpmath at the working precision:
+
+        (2 A / eps) (sin phi_max / sin phi) sqrt(1 - sin^2 phi / sin^2 phi_max)
+    """
+    if phi == 0:
+        raise UnboundedExcursionError("phi = 0: ray aimed at the tangency")
+    if phi < 0 or phi > phi_max:
+        raise ValueError(f"need 0 < phi <= phi_max, got phi={phi}, phi_max={phi_max}")
+    s1 = mpmath.sin(phi)
+    s2 = mpmath.sin(phi_max)
+    ratio_sq = (s1 * s1) / (s2 * s2)
+    radicand = 1 - ratio_sq
+    if radicand < 0:
+        radicand = 0 * radicand
+    return (2 * area / eps) * (s2 / s1) * mpmath.sqrt(radicand)

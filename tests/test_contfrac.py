@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspflow.contfrac import (
-    DV_LIMIT,
-    CfExpansion,
     PrecisionExhaustedError,
     PrecisionReal,
     cf_expand,
-    convergents,
-    dv_statistic,
+    convergent_pairs,
     gauss_step,
     trimmed_sum,
 )
@@ -105,23 +102,18 @@ def test_cf_expand_respects_n_max():
 
 
 def test_convergents_basic():
-    assert convergents([2, 3]) == [Fraction(1, 2), Fraction(3, 7)]
+    assert list(convergent_pairs([2, 3])) == [(1, 2), (3, 7)]
 
 
 def test_convergents_fibonacci():
-    assert convergents([1, 1, 1, 1]) == [
-        Fraction(1, 1),
-        Fraction(1, 2),
-        Fraction(2, 3),
-        Fraction(3, 5),
-    ]
+    assert list(convergent_pairs([1, 1, 1, 1])) == [(1, 1), (1, 2), (2, 3), (3, 5)]
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=25))
 def test_convergents_are_reduced(coeffs):
-    for frac in convergents(coeffs):
-        assert math.gcd(frac.numerator, frac.denominator) == 1
+    for p, q in convergent_pairs(coeffs):
+        assert math.gcd(p, q) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,13 +121,12 @@ def test_convergents_are_reduced(coeffs):
 def test_convergents_approximate_and_alternate(mantissa):
     x = PrecisionReal(2 * mantissa + 1, 1 << 65, bits=None)
     e = cf_expand(x, 12)
-    cs = convergents(e)
     signs = []
-    for frac in cs:
-        err = x.value - frac
+    for p, q in convergent_pairs(e.coeffs):
+        err = x.value - Fraction(p, q)
         if err != 0:
             signs.append(1 if err > 0 else -1)
-        assert abs(err) < Fraction(1, frac.denominator**2)
+        assert abs(err) < Fraction(1, q**2)
     assert all(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -163,7 +154,7 @@ def test_ford_disjoint_interiors():
 
 
 # ---------------------------------------------------------------------------
-# trimmed_sum and dv_statistic
+# trimmed_sum
 
 
 def test_trimmed_sum_examples():
@@ -186,17 +177,3 @@ def test_trimmed_sum_permutation_invariant(values, rnd):
     assert trimmed_sum(shuffled) == trimmed_sum(values)
     assert trimmed_sum(values) <= sum(values)
 
-
-def test_dv_statistic_small_case():
-    assert dv_statistic([3, 5], 2) == pytest.approx(3 / (2 * math.log(2)))
-
-
-def test_dv_statistic_errors():
-    with pytest.raises(ValueError):
-        dv_statistic([3, 5], 1)
-    with pytest.raises(ValueError):
-        dv_statistic([3], 2)
-
-
-def test_dv_limit_constant():
-    assert DV_LIMIT == pytest.approx(1.442695, abs=1e-6)

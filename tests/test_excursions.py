@@ -9,21 +9,21 @@ from cuspflow.excursions import (
     _NEIGHBOURS,
     ExcursionRecord,
     TrajectoryConfig,
-    UnboundedExcursionError,
     complete_records,
     enumerate_excursions,
     filter_excursions,
     sample_theta,
-    twist_count,
     xi_prime,
 )
 from cuspflow.origami import TORUS, cylinder_decomposition, epsilon0, parse_origami, word_matrix
 from oracles.hyperbolic import (
     Horoball,
     UhpPoint,
+    UnboundedExcursionError,
     excursion_exact,
     geodesic_ray,
     intersect,
+    twist_count,
 )
 
 L_ORIGAMI = parse_origami("3; (1 2); (1 3)")
@@ -39,7 +39,8 @@ def cf_value(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# xi_prime and twist_count
+# xi_prime, and the oracle twist_count (the paper's angle form, which the
+# sweep below checks the engine's twists against)
 
 
 def test_xi_prime_two():
@@ -162,7 +163,7 @@ def test_records_sorted_and_times_positive():
     for r in result.records:
         if r.complete:
             assert r.t_exit > r.t_entry
-            assert 0 < r.phi < r.phi_max < math.pi
+            assert r.tw > 0
             assert r.E_area == r.weight * r.E
 
 
@@ -191,11 +192,12 @@ def test_l_origami_same_tangency_records_nest():
         assert outer.t_entry <= inner.t_entry <= inner.t_exit <= outer.t_exit + 1e-9
 
 
-def test_eps_above_structural_bound_rejected():
-    # eps may not exceed epsilon0, which is 1/6 for the L origami
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, 0.4], ids=["nan", "zero", "negative", "above-bound"])
+def test_eps_outside_its_range_rejected(eps):
+    # eps must lie in (0, epsilon0], and epsilon0 is 1/6 for the L origami
     theta = Fraction(961, 2237)
-    with pytest.raises(ValueError, match="epsilon0"):
-        enumerate_excursions(TrajectoryConfig(surface=L_ORIGAMI, T=4.0, theta=theta, eps=0.4))
+    with pytest.raises(ValueError, match=r"in \(0, epsilon0\]"):
+        enumerate_excursions(TrajectoryConfig(surface=L_ORIGAMI, T=4.0, theta=theta, eps=eps))
     eps0 = epsilon0(L_ORIGAMI)
     enumerate_excursions(TrajectoryConfig(surface=L_ORIGAMI, T=4.0, theta=theta, eps=eps0))
 
@@ -272,9 +274,11 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
     # compared, including those that exit after T (engine records with
     # complete=False).  Only rational-terminal records (t_exit = math.inf)
     # are left out on both sides: the kernel reports them as unbounded.
-    # The excursion E is compared for crossings that enter after the base
-    # (t_entry > 0); a crossing under way at the base is measured from the
-    # base's projection by the kernel but in full by the engine.
+    # The twist is compared with the paper's angle form evaluated on the
+    # kernel's angles.  The excursion E is compared for crossings that
+    # enter after the base (t_entry > 0); a crossing under way at the base
+    # is measured from the base's projection by the kernel but in full by
+    # the engine.
     #
     # q < 130 covers every such crossing.  The horoball at p/q has
     # Euclidean diameter n*eps/(c^2 q^2) with c >= 1, a point at height y
@@ -323,8 +327,8 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
     for key, (geom, ball) in found.items():
         assert engine[key].t_entry == pytest.approx(geom.t_entry / 2, abs=1e-7)
         assert engine[key].t_exit == pytest.approx(geom.t_exit / 2, abs=1e-7)
-        assert engine[key].phi == pytest.approx(geom.phi, rel=1e-6, abs=1e-12)
-        assert engine[key].phi_max == pytest.approx(geom.phi_max, rel=1e-6)
+        oracle_tw = twist_count(engine[key].weight, eps, geom.phi, geom.phi_max)
+        assert engine[key].tw == pytest.approx(float(oracle_tw), rel=1e-9)
         if engine[key].t_entry > 0:
             assert engine[key].E == pytest.approx(excursion_exact(ray, ball), rel=1e-6)
 
@@ -341,8 +345,6 @@ def _synthetic(E, t_entry, t_exit, weight=1.0):
         weight=weight,
         t_entry=t_entry,
         t_exit=t_exit,
-        phi=0.01,
-        phi_max=0.05,
         E=E,
         E_area=weight * E,
         tw=2 * E,

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspflow.excursions import UnboundedExcursionError
 from oracles.hyperbolic import (
     ExcursionGeometry,
     Horoball,
     InvalidMatrixError,
     Mat2,
     UhpPoint,
+    UnboundedExcursionError,
     dist,
     excursion_angle,
     excursion_exact,
