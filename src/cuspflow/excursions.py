@@ -8,11 +8,18 @@ and the walk also tests the Stern-Brocot nodes up to depth two below it
 actually met).  The neighbourhood is the table ``_NEIGHBOURS``: one row
 per node a R + b L of the bracket [L, R], with the T/L word that turns
 the bracket's re-marked origami into the one whose horizontal cylinders
-are the cylinders in that direction.  The bracket's own re-marked origami
-is maintained incrementally, and a direction is re-marked only the first
-time the walk meets it.  When theta = p/q is rational the walk ends at
-p/q, and the same record builder makes the terminal records there
-(A = 0 below): the ray enters every horoball at p/q and never leaves.
+are the cylinders in that direction.
+
+The walk is one loop of runs.  Each run moves one endpoint of the
+bracket by the other, in one ``_Interval.step``, as often as theta stays
+on the same side of the mediant (one continued fraction coefficient);
+the bracket's re-marked origami moves with it by one permutation power,
+and a direction is re-marked only the first time the walk meets it.  The
+loop ends at the denominator horizon, or when the bracket's own mediant
+is theta (A = 0 below), the rational terminal: theta = p/q, the last run
+takes one more step onto it, and the same record builder makes the
+terminal records there, as the ray enters every horoball at p/q and
+never leaves.
 
 Exactness: theta is an exact rational num/den (samples are dyadic).  For
 a direction (p, q) put
@@ -236,10 +243,6 @@ def _filter_verdict(ratio: Tuple[float, int], h_top: Tuple[float, int]) -> Optio
     return None
 
 
-def _coefficients_from_runs(runs: List[int]) -> Tuple[int, ...]:
-    return tuple(r for r in runs if r > 0)
-
-
 K_RUN = 16  # nodes tested at each end of a same-direction run
 
 # The candidate neighbourhood of a bracket [L, R]: the Stern-Brocot nodes
@@ -265,50 +268,39 @@ def _remark(o: Origami, word) -> Origami:
 
 @dataclass
 class _Interval:
-    """Stern-Brocot bracket around theta with the re-marked origami state.
+    """Stern-Brocot bracket [L, R] around theta with the re-marked origami.
 
-    ``Q = B^-1 . o`` for the bracket matrix B = [R | L] (columns), and
-    ``A = q num - p den``, ``Bv = q den + p num`` for both endpoints (exact
-    integers, evolving additively).  The node a R + b L has coordinates
-    (a, b) in this basis, so its cylinder structure in its own direction
-    is the horizontal structure of ``word . Q`` for its ``_NEIGHBOURS``
-    word.  Candidates carry the word, not the re-marked origami: the walk
-    re-marks a direction only if it has not tested it yet.
+    Each endpoint is a vector (p, q, A, B) with ``A = q num - p den`` and
+    ``B = q den + p num`` (exact integers): every entry is linear in (p, q),
+    so a node a R + b L is the same combination of the endpoint vectors.
+    ``Q = M^-1 . o`` for the bracket matrix M = [R | L] (columns).  The
+    node a R + b L has coordinates (a, b) in this basis, so its cylinder
+    structure in its own direction is the horizontal structure of
+    ``word . Q`` for its ``_NEIGHBOURS`` word.  Candidates carry the word,
+    not the re-marked origami: the walk re-marks a direction only if it has
+    not tested it yet.
     """
 
-    pL: int
-    qL: int
-    AL: int
-    BL: int
-    pR: int
-    qR: int
-    AR: int
-    BR: int
+    L: Tuple[int, int, int, int]
+    R: Tuple[int, int, int, int]
     Q: Origami
 
     def candidates(self):
         """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, A, B, word)."""
+        pL, qL, AL, BL = self.L
+        pR, qR, AR, BR = self.R
         for a, b, word in _NEIGHBOURS:
-            yield (a * self.pR + b * self.pL, a * self.qR + b * self.qL,
-                   a * self.AR + b * self.AL, a * self.BR + b * self.BL, word)
+            yield a * pR + b * pL, a * qR + b * qL, a * AR + b * AL, a * BR + b * BL, word
 
-    def at_left_run_step(self, j: int) -> "_Interval":
-        """Bracket after j same-direction steps moving the LEFT endpoint."""
-        return _Interval(
-            self.pL + j * self.pR, self.qL + j * self.qR,
-            self.AL + j * self.AR, self.BL + j * self.BR,
-            self.pR, self.qR, self.AR, self.BR,
-            act_T(self.Q, -j) if j else self.Q,
-        )
-
-    def at_right_run_step(self, j: int) -> "_Interval":
-        """Bracket after j same-direction steps moving the RIGHT endpoint."""
-        return _Interval(
-            self.pL, self.qL, self.AL, self.BL,
-            self.pR + j * self.pL, self.qR + j * self.qL,
-            self.AR + j * self.AL, self.BR + j * self.BL,
-            act_L(self.Q, -j) if j else self.Q,
-        )
+    def step(self, j: int, leftward: bool) -> "_Interval":
+        """The bracket after j same-direction steps: L -> L + j R (M -> M T^j)
+        when ``leftward``, else R -> R + j L (M -> M L^j)."""
+        if not j:
+            return self
+        L, R = self.L, self.R
+        if leftward:
+            return _Interval(tuple(x + j * y for x, y in zip(L, R)), R, act_T(self.Q, -j))
+        return _Interval(L, tuple(x + j * y for x, y in zip(R, L)), act_L(self.Q, -j))
 
 
 def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
@@ -370,54 +362,42 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
                 clamps += 1
             records.append(rec)
 
-    # anchors: the cusp at infinity (direction (1, 0), horizontal cylinders
-    # of o) and the tangency 0 (direction (0, 1), vertical cylinders)
-    test_candidate(1, 0, -den, num, o)
-    test_candidate(0, 1, num, den, act_S_inv(o))
-
-    bracket = _Interval(0, 1, num, den, 1, 0, -den, num, o)
+    # the initial bracket [0/1, 1/0]; its endpoints are the anchors: the
+    # cusp at infinity (horizontal cylinders of o) and the tangency 0
+    # (vertical cylinders)
+    bracket = _Interval((0, 1, num, den), (1, 0, -den, num), o)
+    test_candidate(*bracket.R, o)
+    test_candidate(*bracket.L, act_S_inv(o))
     runs: List[int] = []
     rational_terminal = False
 
-    def test_interval_nodes(iv: _Interval):
-        for p, q, A, B, word in iv.candidates():
-            # A == 0 is theta itself: the walk's terminal branch tests it
-            if A != 0 and (p, q) not in tested and q.bit_length() <= q_bit_cap:
-                test_candidate(p, q, A, B, _remark(iv.Q, word))
-
     while True:
-        qm = bracket.qL + bracket.qR
-        if qm.bit_length() > q_bit_cap:
+        L, R = bracket.L, bracket.R
+        Am = L[2] + R[2]
+        if Am == 0:
+            # the mediant (node (1, 1), word L^-1) is theta itself: the last
+            # run ends on it.  It is tested even past the horizon, and only
+            # here: the nodes skip it
+            rational_terminal = True
+            runs[-1] += 1
+            test_candidate(L[0] + R[0], L[1] + R[1], 0, L[3] + R[3], act_L(bracket.Q, -1))
             break
-        Am = bracket.AL + bracket.AR
+        if (L[1] + R[1]).bit_length() > q_bit_cap:
+            break
         # the walk moves in one direction for a whole run (one continued
         # fraction coefficient); only the run's first and last K_RUN nodes
         # can carry horoballs the ray enters, and the bulk of the run is
         # skipped with a single permutation power
         leftward = Am > 0  # theta above the mediant: left endpoint moves
-        if leftward:
-            u, v = bracket.AL, -bracket.AR
-            at_step = bracket.at_left_run_step
-        else:
-            u, v = -bracket.AR, bracket.AL
-            at_step = bracket.at_right_run_step
-        terminal_j = u // v if u % v == 0 else None
-        k = (u + v - 1) // v - 1  # same-direction steps before the flip
-        test_js = set(range(min(k, K_RUN))) | set(range(max(0, k - K_RUN), k))
-        for j in sorted(test_js):
-            test_interval_nodes(at_step(j))
-        if terminal_j is not None:
-            iv = at_step(terminal_j - 1)
-            pm, qm = iv.pL + iv.pR, iv.qL + iv.qR
-            Bm = iv.BL + iv.BR
-            assert iv.AL + iv.AR == 0
-            rational_terminal = True
-            runs.append(terminal_j)
-            # theta's own direction: untested, as the nodes skip A == 0
-            test_candidate(pm, qm, 0, Bm, act_L(iv.Q, -1))
-            break
+        u, v = (L[2], -R[2]) if leftward else (-R[2], L[2])
+        k = (u - 1) // v  # same-direction steps before the flip
+        for j in sorted(set(range(min(k, K_RUN))) | set(range(max(0, k - K_RUN), k))):
+            iv = bracket.step(j, leftward)
+            for p, q, A, B, word in iv.candidates():
+                if A != 0 and (p, q) not in tested and q.bit_length() <= q_bit_cap:
+                    test_candidate(p, q, A, B, _remark(iv.Q, word))
         runs.append(k)
-        bracket = at_step(k)
+        bracket = bracket.step(k, leftward)
 
     records.sort(key=lambda r: (r.t_entry, r.t_exit))
     overlap = _count_overlaps(records)
@@ -426,7 +406,7 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         eps=eps,
         theta_num=num,
         theta_den=den,
-        coefficients=_coefficients_from_runs(runs),
+        coefficients=tuple(runs),
         exhausted=False,
         rational_terminal=rational_terminal,
         overlap_pairs=overlap,

@@ -33,6 +33,7 @@ so the locus where it is short is a horoball tangent at p/q of diameter
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,9 +103,19 @@ class Origami:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"square count n must be >= 1, got n={self.n}")
-        for name, perm in (("h", self.h), ("v", self.v)):
-            if len(perm) != self.n or sorted(perm) != list(range(self.n)):
-                raise ValueError(f"{name} is not a permutation of 0..{self.n - 1}: {perm}")
+        identity = list(range(self.n))
+        for name, given in (("h", self.h), ("v", self.v)):
+            if type(given) is not tuple:
+                # a list is unhashable, and unequal to the same tuple
+                given = tuple(given)
+                object.__setattr__(self, name, given)
+            # a float entry compares equal to an int but cannot index
+            try:
+                is_perm = sorted(map(operator.index, given)) == identity
+            except TypeError:
+                raise ValueError(f"permutation {name} has a non-integer entry: {given}") from None
+            if not is_perm:
+                raise ValueError(f"{name} is not a permutation of 0..{self.n - 1}: {given}")
 
     def validate(self) -> None:
         """Connectedness: <h, v> must act transitively on the squares."""
@@ -349,16 +360,12 @@ def _norm_direction(p: int, q: int) -> Tuple[int, int]:
     return p, q
 
 
-@lru_cache(maxsize=65536)
-def _decomposition_cached(o: Origami, p: int, q: int):
-    return tuple(horizontal_cylinders(apply_word(o, direction_word(p, q))))
-
-
 def cylinder_decomposition(o: Origami, direction: Tuple[int, int]) -> List[Cylinder]:
     """Maximal cylinders in a primitive rational direction, largest first
     (the order of ``horizontal_cylinders``); areas sum to 1."""
     p, q = _norm_direction(*direction)
-    out = [Cylinder(c, ht, Fraction(c * ht, o.n)) for c, ht in _decomposition_cached(o, p, q)]
+    cylinders = horizontal_cylinders(apply_word(o, direction_word(p, q)))
+    out = [Cylinder(c, ht, Fraction(c * ht, o.n)) for c, ht in cylinders]
     assert sum(cyl.area_fraction for cyl in out) == 1
     return out
 

@@ -141,6 +141,18 @@ def test_rational_theta_terminates_with_partial_record():
     assert all(r.complete for r in result.records[:-1])
 
 
+def test_rational_terminal_past_the_horizon_is_still_tested():
+    # theta = 1/1000 is a run of 999 steps ending on theta itself, whose q
+    # has 10 bits against a 9-bit horizon at T = 3: the walk still ends on
+    # theta, counts it in the last run, and tests it (its record enters
+    # after T, so the anchor at 0/1 is the only record)
+    cfg = TrajectoryConfig(surface=TORUS, T=3.0, theta=Fraction(1, 1000), eps=0.25)
+    result = enumerate_excursions(cfg)
+    assert result.rational_terminal
+    assert result.coefficients == (1000,)
+    assert [r.label for r in result.records] == ["0/1#0"]
+
+
 def test_walk_coefficients_match_gauss_expansion():
     import random
 

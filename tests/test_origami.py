@@ -74,6 +74,21 @@ def test_empty_surface_rejected(n):
         parse_origami(f"{n}; (); ()")
 
 
+def test_permutations_stored_as_int_tuples():
+    # a list is stored as a tuple: hashable (epsilon0 is cached on the
+    # surface) and equal to the tuple-built surface
+    o = Origami(2, [1, 0], [0, 1])
+    assert o == Origami(2, (1, 0), (0, 1))
+    assert type(o.h) is tuple and type(o.v) is tuple
+    assert epsilon0(o) == epsilon0(Origami(2, (1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("h, v, name", [((1.0, 0.0), (0, 1), "h"), ((1, 0), (0, "1"), "v")])
+def test_non_integer_entries_rejected(h, v, name):
+    with pytest.raises(ValueError, match=f"permutation {name} has a non-integer entry"):
+        Origami(2, h, v)
+
+
 def test_parse_accepts_commas():
     o = parse_origami("3; (1, 2); (1, 3)")
     assert o == L_ORIGAMI
