@@ -13,13 +13,17 @@ are the cylinders in that direction.
 The walk is one loop of runs.  Each run moves one endpoint of the
 bracket by the other, in one ``_Interval.step``, as often as theta stays
 on the same side of the mediant (one continued fraction coefficient);
-the bracket's re-marked origami moves with it by one permutation power,
-and a direction is re-marked only the first time the walk meets it.  The
-loop ends at the denominator horizon, or when the bracket's own mediant
-is theta (A = 0 below), the rational terminal: theta = p/q, the last run
-takes one more step onto it, and the same record builder makes the
-terminal records there, as the ray enters every horoball at p/q and
-never leaves.
+the bracket's re-marked origami moves with it by one permutation power.
+Every re-marking and cylinder read goes through a table that lives for
+one trajectory (``_States``): a power is reduced modulo the order of its
+permutation, each (state, move) pair is built once and each labeled
+state's cylinders are read once, so a trajectory that meets few states
+(one on the torus, ten on the L-shaped surface) pays for them once and
+then only for dict lookups, however long it runs.  The loop ends at the
+denominator horizon, or when the bracket's own mediant is theta (A = 0
+below), the rational terminal: theta = p/q, the last run takes one more
+step onto it, and the same record builder makes the terminal records
+there, as the ray enters every horoball at p/q and never leaves.
 
 Exactness: theta is an exact rational num/den (samples are dyadic).  For
 a direction (p, q) put
@@ -64,7 +68,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .origami import Origami, act_L, act_S_inv, act_T, epsilon0, horizontal_cylinders
+from .origami import (
+    Origami,
+    act_L,
+    act_S_inv,
+    act_T,
+    epsilon0,
+    horizontal_cylinders,
+    permutation_order,
+)
 
 RECORD_PREC = 320  # bits; record quantities start from exact integers
 KAPPA = 4.0  # denominator horizon safety factor
@@ -166,7 +178,8 @@ class TrajectoryResult:
     rational_terminal: bool
     overlap_pairs: int
     base_inside_clamps: int
-    exact_hit_tests: int  # hit tests the float filter left to the exact comparison
+    hit_tests: int  # per-cylinder hit tests made by the walk
+    exact_hit_tests: int  # of those, the ones the float filter left to the exact comparison
 
 
 def sample_theta(bits: int, rng: Random) -> Fraction:
@@ -259,11 +272,57 @@ _NEIGHBOURS = (
 )
 
 
-def _remark(o: Origami, word) -> Origami:
-    """Apply a T/L word left to right."""
-    for tag, m in word:
-        o = act_T(o, m) if tag == "T" else act_L(o, m)
-    return o
+class _States:
+    """The labeled origami states one trajectory meets, each read once.
+
+    The walk moves its bracket's origami by T^m and L^m, with m of up to
+    thousands of bits, but h^ord = id for ord the order of h (the lcm of
+    its cycle lengths), so T^m = T^(m mod ord), and likewise L^m with the
+    order of v.  A trajectory therefore meets only finitely many (state,
+    move) pairs, however long it runs.  Each is built (and validated) by
+    ``act_T``/``act_L`` the first time the walk meets it, each state's
+    horizontal cylinders are read by ``horizontal_cylinders`` the first
+    time, and every later visit is a dict lookup.  The table lives for one
+    call of ``enumerate_excursions``.
+    """
+
+    def __init__(self):
+        self._orders = {}  # permutation -> its order
+        self._moves = {}  # (state, tag, m mod order) -> state
+        self._neighbours = {}  # (state, _NEIGHBOURS row) -> re-marked state
+        self._cylinders = {}  # state -> its horizontal cylinders
+
+    def move(self, o: Origami, tag: str, m: int) -> Origami:
+        """``act_T(o, m)`` for tag "T", ``act_L(o, m)`` for tag "L"."""
+        perm = o.h if tag == "T" else o.v
+        order = self._orders.get(perm)
+        if order is None:
+            order = self._orders[perm] = permutation_order(perm)
+        m %= order
+        key = (o, tag, m)
+        out = self._moves.get(key)
+        if out is None:
+            out = self._moves[key] = act_T(o, m) if tag == "T" else act_L(o, m)
+        return out
+
+    def neighbour(self, o: Origami, row: int) -> Origami:
+        """``o`` re-marked by the T/L word of ``_NEIGHBOURS[row]``, applied
+        left to right."""
+        key = (o, row)
+        out = self._neighbours.get(key)
+        if out is None:
+            out = o
+            for tag, m in _NEIGHBOURS[row][2]:
+                out = self.move(out, tag, m)
+            self._neighbours[key] = out
+        return out
+
+    def cylinders(self, o: Origami) -> List[Tuple[int, int]]:
+        """``horizontal_cylinders(o)``."""
+        out = self._cylinders.get(o)
+        if out is None:
+            out = self._cylinders[o] = horizontal_cylinders(o)
+        return out
 
 
 @dataclass
@@ -276,9 +335,10 @@ class _Interval:
     ``Q = M^-1 . o`` for the bracket matrix M = [R | L] (columns).  The
     node a R + b L has coordinates (a, b) in this basis, so its cylinder
     structure in its own direction is the horizontal structure of
-    ``word . Q`` for its ``_NEIGHBOURS`` word.  Candidates carry the word,
-    not the re-marked origami: the walk re-marks a direction only if it has
-    not tested it yet.
+    ``word . Q`` for its ``_NEIGHBOURS`` word.  Candidates carry the row of
+    that word, not the re-marked origami, and the trajectory's ``_States``
+    table turns (Q, row) into the re-marked state and its cylinders, each
+    built once per trajectory.
     """
 
     L: Tuple[int, int, int, int]
@@ -286,21 +346,22 @@ class _Interval:
     Q: Origami
 
     def candidates(self):
-        """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, A, B, word)."""
+        """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, A, B, row),
+        with ``row`` the node's index in ``_NEIGHBOURS``."""
         pL, qL, AL, BL = self.L
         pR, qR, AR, BR = self.R
-        for a, b, word in _NEIGHBOURS:
-            yield a * pR + b * pL, a * qR + b * qL, a * AR + b * AL, a * BR + b * BL, word
+        for row, (a, b, _) in enumerate(_NEIGHBOURS):
+            yield a * pR + b * pL, a * qR + b * qL, a * AR + b * AL, a * BR + b * BL, row
 
-    def step(self, j: int, leftward: bool) -> "_Interval":
+    def step(self, j: int, leftward: bool, states: _States) -> "_Interval":
         """The bracket after j same-direction steps: L -> L + j R (M -> M T^j)
         when ``leftward``, else R -> R + j L (M -> M L^j)."""
         if not j:
             return self
-        L, R = self.L, self.R
+        L, R, Q = self.L, self.R, self.Q
         if leftward:
-            return _Interval(tuple(x + j * y for x, y in zip(L, R)), R, act_T(self.Q, -j))
-        return _Interval(L, tuple(x + j * y for x, y in zip(R, L)), act_L(self.Q, -j))
+            return _Interval(tuple(x + j * y for x, y in zip(L, R)), R, states.move(Q, "T", -j))
+        return _Interval(L, tuple(x + j * y for x, y in zip(R, L)), states.move(Q, "L", -j))
 
 
 def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
@@ -339,14 +400,18 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
 
     records: List[ExcursionRecord] = []
     tested = set()
+    states = _States()
     clamps = 0
+    hit_tests = 0
     exact_tests = 0
 
     def test_candidate(p, q, A, B, node: Origami):
-        nonlocal clamps, exact_tests
+        nonlocal clamps, hit_tests, exact_tests
         tested.add((p, q))
         ratio = _ratio_top(abs(A), abs(B), norm_top)
-        for idx, (circ, height) in enumerate(horizontal_cylinders(node)):
+        cylinders = states.cylinders(node)
+        hit_tests += len(cylinders)
+        for idx, (circ, height) in enumerate(cylinders):
             h_w = thresholds[circ]
             hit = _filter_verdict(ratio, h_tops[circ])
             if hit is None:
@@ -380,7 +445,8 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
             # here: the nodes skip it
             rational_terminal = True
             runs[-1] += 1
-            test_candidate(L[0] + R[0], L[1] + R[1], 0, L[3] + R[3], act_L(bracket.Q, -1))
+            terminal = states.move(bracket.Q, "L", -1)
+            test_candidate(L[0] + R[0], L[1] + R[1], 0, L[3] + R[3], terminal)
             break
         if (L[1] + R[1]).bit_length() > q_bit_cap:
             break
@@ -392,12 +458,12 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         u, v = (L[2], -R[2]) if leftward else (-R[2], L[2])
         k = (u - 1) // v  # same-direction steps before the flip
         for j in sorted(set(range(min(k, K_RUN))) | set(range(max(0, k - K_RUN), k))):
-            iv = bracket.step(j, leftward)
-            for p, q, A, B, word in iv.candidates():
+            iv = bracket.step(j, leftward, states)
+            for p, q, A, B, row in iv.candidates():
                 if A != 0 and (p, q) not in tested and q.bit_length() <= q_bit_cap:
-                    test_candidate(p, q, A, B, _remark(iv.Q, word))
+                    test_candidate(p, q, A, B, states.neighbour(iv.Q, row))
         runs.append(k)
-        bracket = bracket.step(k, leftward)
+        bracket = bracket.step(k, leftward, states)
 
     records.sort(key=lambda r: (r.t_entry, r.t_exit))
     overlap = _count_overlaps(records)
@@ -411,6 +477,7 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         rational_terminal=rational_terminal,
         overlap_pairs=overlap,
         base_inside_clamps=clamps,
+        hit_tests=hit_tests,
         exact_hit_tests=exact_tests,
     )
 

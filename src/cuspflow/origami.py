@@ -73,6 +73,11 @@ def _power(perm, m: int):
     return tuple(out)
 
 
+def permutation_order(perm) -> int:
+    """The order of perm: the lcm of its cycle lengths, so perm^m = perm^(m mod order)."""
+    return math.lcm(*map(len, _cycles(perm)))
+
+
 def _cycles(perm):
     n = len(perm)
     seen = [False] * n
@@ -395,10 +400,19 @@ BASE_POINTS = (
 )
 
 
-def _min_length_sq_at(o: Origami, x0: float, y0: float) -> float:
+def _min_length_sq_at(o: Origami, x0: float, y0: float, cylinders: Dict) -> float:
+    """Shortest core length^2 at x0 + i y0; ``cylinders`` maps each direction
+    read so far to its decomposition and gains the ones read here."""
+
+    def decomposition(p, q):
+        out = cylinders.get((p, q))
+        if out is None:
+            out = cylinders[p, q] = cylinder_decomposition(o, (p, q))
+        return out
+
     best = None
     for p, q in ((1, 0), (0, 1)):
-        for cyl in cylinder_decomposition(o, (p, q)):
+        for cyl in decomposition(p, q):
             val = flat_length_sq(o, (p, q), cyl.circumference, complex(x0, y0))
             best = val if best is None else min(best, val)
     # any shorter core needs |q z0 - p|^2 <= n y0 best, which bounds q and p
@@ -412,7 +426,7 @@ def _min_length_sq_at(o: Origami, x0: float, y0: float) -> float:
         for p in range(p_lo, p_hi + 1):
             if math.gcd(p, q) != 1:
                 continue
-            for cyl in cylinder_decomposition(o, (p, q)):
+            for cyl in decomposition(p, q):
                 val = flat_length_sq(o, (p, q), cyl.circumference, complex(x0, y0))
                 best = min(best, val)
     return best
@@ -421,9 +435,11 @@ def _min_length_sq_at(o: Origami, x0: float, y0: float) -> float:
 @lru_cache(maxsize=1024)
 def epsilon0(o: Origami) -> float:
     """Structural thin-part bound: half the shortest core length^2 over the
-    base point i and its six unimodular translates."""
+    base point i and its six unimodular translates.  Each direction's
+    cylinders are read once, for all seven base points."""
     o.validate()
-    return 0.5 * min(_min_length_sq_at(o, x0, y0) for x0, y0 in BASE_POINTS)
+    cylinders = {}
+    return 0.5 * min(_min_length_sq_at(o, x0, y0, cylinders) for x0, y0 in BASE_POINTS)
 
 
 # ---------------------------------------------------------------------------

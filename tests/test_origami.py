@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cuspflow.origami as origami_module
 from cuspflow.origami import (
     TORUS,
     Cylinder,
@@ -361,6 +362,28 @@ def test_epsilon0_values():
     # does better
     assert epsilon0(TORUS) == pytest.approx(0.5)
     assert epsilon0(L_ORIGAMI) == pytest.approx(1 / 6)
+
+
+@pytest.mark.parametrize(
+    "surface, value, directions",
+    [
+        (TORUS, 0.5, 6),
+        (L_ORIGAMI, 1 / 6, 6),
+        (parse_origami("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)"), 0.0625, 10),
+    ],
+    ids=["torus", "L", "8-square"],
+)
+def test_epsilon0_reads_each_direction_once(monkeypatch, surface, value, directions):
+    # the seven base points share their directions; each is decomposed once
+    calls = []
+
+    def counted(o, direction):
+        calls.append(direction)
+        return cylinder_decomposition(o, direction)
+
+    monkeypatch.setattr(origami_module, "cylinder_decomposition", counted)
+    assert epsilon0.__wrapped__(surface) == value  # past the lru_cache
+    assert len(calls) == len(set(calls)) == directions
 
 
 # ---------------------------------------------------------------------------
