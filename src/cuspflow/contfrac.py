@@ -1,38 +1,34 @@
-"""Gauss-map dynamics with honest precision accounting.
+"""The Gauss-map expansion, trusted exactly as far as a sample resolves it.
 
-A ``PrecisionReal`` is an exact rational ``num/den`` in (0, 1).  Values
-sampled at a finite bit budget (or converted from an mpf, which is an
-exact dyadic rational) carry a precision budget: every Gauss step
-amplifies the initial sampling uncertainty by ``1/x^2``, so the budget is
-decremented by the measured ``2 log2(1/x)`` (rounded up, plus a guard
-bit).  The expansion halts with an explicit ``exhausted`` flag before the
-budget crosses the safety floor, so the coefficient stream never degrades
-silently into noise from the dyadic tail.  Values constructed from exact
-rationals carry no budget and expand until the rational terminates.
+A ``PrecisionReal`` is an exact rational ``num/den`` in (0, 1).  A sampled
+direction also carries its resolution ``bits``, and its coefficients are
+read only while their convergent denominator q has at most
+``resolvable_q_bits(bits)`` bits, the rule by which the walk in
+``excursions`` samples theta; past it the expansion stops, flagged
+``exhausted``, before the dyadic tail's noise.  With ``bits=None`` the
+value is exact and expands until it terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
-import mpmath
 
-SAFETY_FLOOR_BITS = 64
+def resolvable_q_bits(bits: int) -> int:
+    """Bits of a convergent denominator q that a ``bits``-bit sample resolves.
 
-
-class PrecisionExhaustedError(RuntimeError):
-    """Operation requested below the precision safety floor."""
+    The points whose expansion starts with the coefficients up to p/q fill
+    an interval of length >= 1/(2 q^2).  For q of at most this many bits (a
+    64-bit guard) it exceeds 2^62 times the sample's uncertainty 2^-bits.
+    """
+    return (bits + 1 - 64) // 2
 
 
 @dataclass(frozen=True)
 class PrecisionReal:
-    """Exact rational in (0, 1) with an optional remaining precision budget.
-
-    ``bits is None`` means the value is an exact rational (no budget
-    bookkeeping); otherwise ``bits`` is the remaining budget in bits.
-    """
+    """Exact rational in (0, 1): a sample resolved to ``bits`` bits, or
+    exact when ``bits is None``."""
 
     num: int
     den: int
@@ -42,62 +38,11 @@ class PrecisionReal:
         if not 0 < self.num < self.den:
             raise ValueError(f"value {self.num}/{self.den} is not in (0, 1)")
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    @classmethod
-    def from_fraction(cls, frac) -> "PrecisionReal":
-        frac = Fraction(frac)
-        return cls(frac.numerator, frac.denominator, None)
-
-    @classmethod
-    def from_mpf(cls, x, bits: Optional[int] = None) -> "PrecisionReal":
-        """Exact dyadic conversion of an mpf, with a budget (default: its resolution).
-
-        Reads the mantissa tuple directly; wrapping through ``mpmath.mpf``
-        would re-round to the ambient working precision.
-        """
-        if not isinstance(x, mpmath.mpf):
-            x = mpmath.mpf(x)
-        sign, man, exp, bc = x._mpf_
-        if sign or exp >= 0:
-            raise ValueError(f"value {x} is not in (0, 1)")
-        if bits is None:
-            bits = -exp
-        return cls(int(man), 1 << (-exp), bits)
-
-
-def _step_loss(num: int, den: int) -> int:
-    # error amplification of one Gauss step is 1/x^2; measure it from the
-    # bit lengths of den/num and round up, with one guard bit
-    return 2 * max(1, den.bit_length() - num.bit_length() + 1) + 1
-
-
-def gauss_step(x: PrecisionReal):
-    """One step of the Gauss map: ``a = floor(1/x)``, ``x' = 1/x - a``.
-
-    Returns ``(a, x')`` where ``x'`` is None when the rational terminates
-    exactly.  Raises ``PrecisionExhaustedError`` when the remaining budget
-    is not above the safety floor.
-    """
-    if x.bits is not None and x.bits <= SAFETY_FLOOR_BITS:
-        raise PrecisionExhaustedError(f"remaining budget {x.bits} bits is at the safety floor")
-    a, r = divmod(x.den, x.num)
-    if r == 0:
-        return a, None
-    new_bits = None if x.bits is None else x.bits - _step_loss(x.num, x.den)
-    return a, PrecisionReal(r, x.num, new_bits)
-
 
 @dataclass(frozen=True)
 class CfExpansion:
-    """Continued fraction coefficients plus an honesty flag.
-
-    ``exhausted`` is True when the expansion stopped because the precision
-    budget hit the safety floor rather than because the value terminated
-    or ``n_max`` was reached.
-    """
+    """Continued fraction coefficients; ``exhausted`` is True when they
+    stopped at the sample's resolution, not at the value's end or n_max."""
 
     coeffs: tuple
     exhausted: bool
@@ -107,21 +52,23 @@ class CfExpansion:
 
 
 def cf_expand(x: PrecisionReal, n_max: int) -> CfExpansion:
-    """First ``min(n_max, available)`` continued fraction coefficients of x."""
+    """First ``min(n_max, resolved)`` continued fraction coefficients of x:
+    one Euclid loop, each Gauss step a ``divmod``, with q the convergent
+    denominator."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    q_cap = None if x.bits is None else resolvable_q_bits(x.bits)
+    num, den = x.num, x.den
+    q_prev, q = 0, 1
     coeffs = []
-    cur = x
-    exhausted = False
-    while len(coeffs) < n_max:
-        if cur.bits is not None and cur.bits <= SAFETY_FLOOR_BITS:
-            exhausted = True
-            break
-        a, cur = gauss_step(cur)
+    while num and len(coeffs) < n_max:
+        a, r = divmod(den, num)
+        q_prev, q = q, a * q + q_prev
+        if q_cap is not None and q.bit_length() > q_cap:
+            return CfExpansion(tuple(coeffs), True)
         coeffs.append(a)
-        if cur is None:
-            break
-    return CfExpansion(tuple(coeffs), exhausted)
+        num, den = r, num
+    return CfExpansion(tuple(coeffs), False)
 
 
 def convergent_pairs(coeffs: Iterable[int]):

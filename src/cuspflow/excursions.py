@@ -138,6 +138,11 @@ class TrajectoryConfig:
             raise ValueError(f"xi must be > 1, got {self.xi}")
         if not self.s_xi >= 0:
             raise ValueError(f"s_xi must be >= 0, got {self.s_xi}")
+        if not isinstance(self.surface, Origami):
+            raise TypeError(
+                f"surface must be an Origami (parse_origami builds one from text), "
+                f"got {type(self.surface).__name__} {self.surface!r}"
+            )
         if self.theta is None and self.seed is None:
             raise ValueError("either theta or a seed is required")
 
@@ -164,9 +169,10 @@ class TrajectoryResult:
     """What the walk found, and how it stopped.
 
     ``exhausted`` is always False: the walk stops at its denominator
-    horizon, and theta always carries enough bits to reach it (see the
-    comment where ``enumerate_excursions`` samples theta).  The flag stays
-    for readers that report it.
+    horizon, and a sampled theta resolves every q up to it
+    (``contfrac.resolvable_q_bits``; see the comment where
+    ``enumerate_excursions`` samples theta).  The flag stays for readers
+    that report it.
     """
 
     records: List[ExcursionRecord]
@@ -378,10 +384,10 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
     else:
         # need ~2.89 T bits to separate theta from denominators up to
-        # KAPPA e^T; round up generously.  With den = 2^bits, a 64-bit
-        # guard leaves (bits + 1 - 64) // 2 bits of q resolvable, which
-        # exceeds q_bit_cap below by at least 476 bits for every T > 0, so
-        # the walk always stops at its horizon, never for lack of precision
+        # KAPPA e^T; round up generously.  A sample of den = 2^bits resolves
+        # q of contfrac.resolvable_q_bits(bits) = (bits + 1 - 64) // 2 bits,
+        # which exceeds q_bit_cap below by at least 476 bits for every T > 0,
+        # so the walk always stops at its horizon, never for lack of precision
         bits = int(math.ceil(2.9 * cfg.T)) + 1024
         theta = sample_theta(bits, Random(cfg.seed))
     num, den = theta.numerator, theta.denominator

@@ -106,6 +106,10 @@ class Origami:
     v: Tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"square count n must be an integer, got n={self.n!r}") from None
         if self.n < 1:
             raise ValueError(f"square count n must be >= 1, got n={self.n}")
         identity = list(range(self.n))

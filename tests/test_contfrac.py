@@ -2,62 +2,61 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspflow.contfrac import (
-    PrecisionExhaustedError,
     PrecisionReal,
     cf_expand,
     convergent_pairs,
-    gauss_step,
+    resolvable_q_bits,
     trimmed_sum,
 )
 
 
+def quadratic_sample(c, d, e, bits):
+    """(sqrt(c) - d) / e rounded down to ``bits`` bits, as a sample."""
+    return PrecisionReal((math.isqrt(c << 2 * bits) - (d << bits)) // e, 1 << bits, bits)
+
+
+def exact(x):
+    return PrecisionReal(x.num, x.den, None)
+
+
 # ---------------------------------------------------------------------------
-# gauss_step
+# the Gauss step, read through cf_expand: x -> 1/x - a drops the first
+# coefficient, so a fixed point expands to one repeated coefficient
 
 
 def test_gauss_step_exact_rational():
-    a, x1 = gauss_step(PrecisionReal.from_fraction(Fraction(3, 7)))
-    assert a == 2
-    assert x1.value == Fraction(1, 3)
+    # 3/7 = 1/(2 + 1/3)
+    assert cf_expand(PrecisionReal(3, 7), 10).coeffs == (2,) + cf_expand(PrecisionReal(1, 3), 10).coeffs
+
+
+def _check_fixed_point(x, a):
+    # the exact expansion of a 300-bit sample follows the fixed point while
+    # q has up to about 150 bits and then leaves it for the dyadic rounding;
+    # the sample stops before the first coefficient whose q passes
+    # resolvable_q_bits(300) = 118 bits, well inside the fixed point
+    e = cf_expand(x, 1000)
+    full = cf_expand(exact(x), 1000)
+    qs = [q for _, q in convergent_pairs(full.coeffs)]
+    k = len(e)
+    assert e.exhausted and set(e.coeffs) == {a}
+    assert full.coeffs[:k] == e.coeffs
+    assert qs[k - 1].bit_length() <= resolvable_q_bits(300) == 118 < qs[k].bit_length()
+    assert set(full.coeffs) != {a}
 
 
 def test_gauss_step_golden_fixed_point():
     # x = (sqrt(5) - 1)/2 satisfies x = 1/(1 + x), so the Gauss map fixes it
-    with mpmath.mp.workprec(300):
-        x = (mpmath.sqrt(5) - 1) / 2
-    px = PrecisionReal.from_mpf(x)
-    a, x1 = gauss_step(px)
-    assert a == 1
-    assert abs(x1.value - px.value) < Fraction(1, 2**240)
+    _check_fixed_point(quadratic_sample(5, 1, 2, 300), 1)
 
 
 def test_gauss_step_sqrt2_fixed_point():
     # x = sqrt(2) - 1 satisfies x = 1/(2 + x)
-    with mpmath.mp.workprec(300):
-        x = mpmath.sqrt(2) - 1
-    px = PrecisionReal.from_mpf(x)
-    a, x1 = gauss_step(px)
-    assert a == 2
-    assert abs(x1.value - px.value) < Fraction(1, 2**240)
-
-
-def test_gauss_step_budget_decreases():
-    rng = random.Random(11)
-    x = PrecisionReal(rng.getrandbits(512), 1 << 512, bits=512)
-    a, x1 = gauss_step(x)
-    assert x1.bits < x.bits
-
-
-def test_gauss_step_below_floor_raises():
-    x = PrecisionReal(1, 3, bits=64)
-    with pytest.raises(PrecisionExhaustedError):
-        gauss_step(x)
+    _check_fixed_point(quadratic_sample(2, 1, 1, 300), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +64,21 @@ def test_gauss_step_below_floor_raises():
 
 
 def test_cf_expand_three_sevenths():
-    e = cf_expand(PrecisionReal.from_fraction(Fraction(3, 7)), 10)
+    e = cf_expand(PrecisionReal(3, 7), 10)
     assert e.coeffs == (2, 3)
     assert not e.exhausted
 
 
 def test_cf_expand_golden():
-    with mpmath.mp.workprec(300):
-        x = (mpmath.sqrt(5) - 1) / 2
-    e = cf_expand(PrecisionReal.from_mpf(x), 5)
+    e = cf_expand(quadratic_sample(5, 1, 2, 300), 5)
     assert e.coeffs == (1, 1, 1, 1, 1)
+    assert not e.exhausted
 
 
 def test_cf_expand_small_budget_no_garbage():
-    # a sample at 100 bits with floor 64 stops early; the coefficients it
-    # does emit must agree with the full-precision expansion of the same value
+    # a sample at 100 bits resolves q of 18 bits and stops there; the
+    # coefficients it does emit must agree with the exact expansion of the
+    # same value
     rng = random.Random(5)
     num = rng.getrandbits(100) | 1
     short = cf_expand(PrecisionReal(num, 1 << 100, bits=100), 50)
@@ -123,7 +122,7 @@ def test_convergents_approximate_and_alternate(mantissa):
     e = cf_expand(x, 12)
     signs = []
     for p, q in convergent_pairs(e.coeffs):
-        err = x.value - Fraction(p, q)
+        err = Fraction(x.num, x.den) - Fraction(p, q)
         if err != 0:
             signs.append(1 if err > 0 else -1)
         assert abs(err) < Fraction(1, q**2)

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from random import Random
 
 import mpmath
 import pytest
 
+from cuspflow import excursions
 from cuspflow.contfrac import PrecisionReal, cf_expand, convergent_pairs
 from cuspflow.excursions import (
     _NEIGHBOURS,
@@ -101,9 +103,8 @@ def test_golden_mean_visits_fibonacci_and_stays_thick():
     # the golden ray is maximally badly approximable: below the structural
     # bound it never enters a single horoball, while the walk's path is
     # exactly the Fibonacci convergents
-    with mpmath.mp.workprec(2048):
-        golden = (mpmath.sqrt(5) - 1) / 2
-        theta = PrecisionReal.from_mpf(golden).value
+    bits = 2048
+    theta = Fraction((math.isqrt(5 << 2 * bits) - (1 << bits)) // 2, 1 << bits)
     cfg = TrajectoryConfig(surface=TORUS, T=40.0, theta=theta, eps=0.25)
     result = enumerate_excursions(cfg)
     assert result.records == []
@@ -164,6 +165,20 @@ def test_walk_coefficients_match_gauss_expansion():
         oracle = cf_expand(PrecisionReal(theta.numerator, theta.denominator, None), 60)
         k = min(len(result.coefficients), 40)
         assert result.coefficients[:k] == oracle.coeffs[:k]
+
+
+@pytest.mark.parametrize("surface", [TORUS, L_ORIGAMI, ORBIT8], ids=["torus", "L", "orbit8"])
+def test_walk_never_reads_past_its_sample(surface):
+    # a sample num / 2^bits resolves q of contfrac.resolvable_q_bits(bits)
+    # bits; the Gauss expansion under that rule must give every coefficient
+    # the walk read, and not stop short of them
+    for T in (1e-6, 1.0, 100.0, 400.0):
+        for seed in (1, 2, 3):
+            result = enumerate_excursions(TrajectoryConfig(surface=surface, T=T, seed=seed))
+            num, den, coeffs = result.theta_num, result.theta_den, result.coefficients
+            sample = cf_expand(PrecisionReal(num, den, den.bit_length() - 1), len(coeffs))
+            assert sample.coeffs == coeffs, (T, seed)
+            assert not sample.exhausted, (T, seed)
 
 
 def test_records_sorted_and_times_positive():
@@ -233,6 +248,11 @@ def test_determinism_same_seed():
     ]
 
 
+def test_config_rejects_a_surface_that_is_not_an_origami():
+    with pytest.raises(TypeError, match="parse_origami"):
+        TrajectoryConfig(surface="3; (1 2); (1 3)", T=10.0, seed=1)
+
+
 @pytest.mark.parametrize(
     "field, value", [("T", math.inf), ("T", math.nan), ("s_xi", math.nan)]
 )
@@ -259,6 +279,44 @@ def test_neighbour_table_words_and_nodes():
             next_level += [(left, mid), (mid, right)]
         level = next_level
     assert [(a, b) for a, b, _ in _NEIGHBOURS] == nodes
+
+
+def _walk_fields(result):
+    return (
+        result.records,
+        result.coefficients,
+        result.rational_terminal,
+        result.overlap_pairs,
+        result.base_inside_clamps,
+        result.exact_hit_tests,
+    )
+
+
+@pytest.mark.parametrize("surface", [TORUS, L_ORIGAMI, ORBIT8], ids=["torus", "L", "orbit8"])
+def test_fatou_candidates_give_the_same_walk(surface, monkeypatch):
+    # a hit at p/q means q |q theta - p| <= C, with
+    # C = n eps (1 + theta^2) / (2 c^2 (1 + p theta / q)) < n eps / c^2,
+    # and n epsilon0 = 1/2 here, so C < 1/2 at every eps <= epsilon0 and by
+    # Legendre's theorem every hit is a convergent.  Row (1, 1) alone at
+    # each run's first and last step (K_RUN = 1) tests the convergents and
+    # Fatou's mediants (p_k + p_(k-1)) / (q_k + q_(k-1)), and must give the
+    # full walk
+    assert surface.n * epsilon0(surface) == 0.5
+    configs = []
+    for eps in (epsilon0(surface) / 2, epsilon0(surface)):
+        for seed in range(1, 11):
+            configs.append(TrajectoryConfig(surface=surface, T=60.0, seed=seed, eps=eps))
+            rng = Random(seed)
+            den = rng.randrange(2, 10**12)
+            theta = Fraction(rng.randrange(1, den), den)
+            configs.append(TrajectoryConfig(surface=surface, T=30.0, theta=theta, eps=eps))
+    full = [_walk_fields(enumerate_excursions(cfg)) for cfg in configs]
+    monkeypatch.setattr(excursions, "_NEIGHBOURS", excursions._NEIGHBOURS[:1])
+    monkeypatch.setattr(excursions, "K_RUN", 1)
+    for cfg, want in zip(configs, full):
+        assert _walk_fields(enumerate_excursions(cfg)) == want, cfg
+    assert any(records for records, *_ in full)
+    assert any(terminal for _, _, terminal, *_ in full)
 
 
 # ---------------------------------------------------------------------------

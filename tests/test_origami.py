@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,14 @@ def test_empty_surface_rejected(n):
         Origami(n, (), ())
     with pytest.raises(ValueError, match=f"n={n}"):
         parse_origami(f"{n}; (); ()")
+
+
+@pytest.mark.parametrize("n", [2.0, "2"], ids=["float", "str"])
+def test_non_integer_square_count_rejected(n):
+    # refused where it is built, naming n, not later by range() with a
+    # TypeError that does not say which field is wrong
+    with pytest.raises(ValueError, match=re.escape(f"n={n!r}")):
+        Origami(n, (1, 0), (0, 1))
 
 
 def test_permutations_stored_as_int_tuples():
