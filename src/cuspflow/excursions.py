@@ -46,13 +46,26 @@ and answers only when that float lies outside 1 +- ``MARGIN`` (1e-12):
 there its answer is the exact one.  Inside the band, where tangencies
 lie, the exact integer comparison decides, and
 ``TrajectoryResult.exact_hit_tests`` counts those.  Every verdict is
-therefore exact.  Only actual hits pay for arbitrary-precision evaluation
-of times, excursion and twist (``_build_record``).  Each is a closed form
-in three integers of the hit test, g = norm hd, k = 2 |A_int| B_int hn
-and m = hn (A_int^2 + B_int^2) for h_w = hn / hd, evaluated in one
-``RECORD_PREC``-bit pass after the differences that could cancel are
-taken exactly in integers, so there is no precision loss anywhere in the
-pipeline.
+therefore exact.
+
+Each hit's record (``_build_record``) is a closed form in three integers
+of the hit test, g = norm hd, k = 2 |A_int| B_int hn and
+m = hn (A_int^2 + B_int^2) for h_w = hn / hd, but it is evaluated in
+floats from the same 62-bit tops, without forming those products: the
+ratios k / g and g / m and the ratios under the times' logs each carry a
+relative error of about 1e-15, and each log is taken on a normalised
+ratio plus its exponent times ln 2, so no float overflows however long
+the integers are.  Where a difference cancels (1 - (k/g)^2 at a grazing
+crossing, the twist's radicand at the edge of the cone of entering
+directions) the floats could lose digits, so inside a band derived from
+their error bound that difference is taken exactly in integers, and so
+are the decisions whether the ray crossed before the base and whether it
+starts inside the horoball, whenever the time they rest on lies within
+``MARGIN`` of 0.  ``TrajectoryResult.exact_record_terms`` counts those
+integer terms.  Every drop and clamp decision is therefore exact, and
+E, E_area and tw are within ``RECORD_ERROR`` (2^-41, about 4.5e-13) and
+the times within 5e-14 max(1, |t|) of the exact values (derived in the
+docstring of ``_build_record``).
 
 Times are Teichmueller times: half the hyperbolic arclength (the diagonal
 flow moves i to e^{2t} i).
@@ -66,8 +79,6 @@ from fractions import Fraction
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
-import mpmath
-
 from .origami import (
     Origami,
     act_L,
@@ -78,7 +89,6 @@ from .origami import (
     permutation_order,
 )
 
-RECORD_PREC = 320  # bits; record quantities start from exact integers
 KAPPA = 4.0  # denominator horizon safety factor
 
 # The hit-test filter (see ``_filter_verdict``): its float ratio is within
@@ -88,6 +98,15 @@ FILTER_ERROR = 10 * 2.0**-53
 MARGIN = 1e-12
 TOP_BITS = 62  # bits of each integer the filter keeps
 MAX_EXPONENT = 900  # filter exponents beyond this are decided by their sign
+
+# The record builder (see ``_build_record``): float terms outside these
+# bands, exact integer ones inside, so E, E_area and tw are within relative
+# error RECORD_ERROR of the exact values.  Its times decide their sign in
+# floats outside +-MARGIN.
+GRAZING_BAND = 2.0**-8  # on 1 - x^2
+CONE_BAND = 2.0**-6  # on the twist's radicand
+RECORD_ERROR = 2.0**-41
+LN2 = math.log(2)
 
 
 def xi_prime(xi: float) -> float:
@@ -145,6 +164,13 @@ class TrajectoryConfig:
             )
         if self.theta is None and self.seed is None:
             raise ValueError("either theta or a seed is required")
+        if self.theta is not None:
+            try:
+                inside = 0 < Fraction(self.theta) < 1
+            except (TypeError, ValueError, OverflowError):  # NaN, inf, not a number
+                inside = False
+            if not inside:
+                raise ValueError(f"theta must be a rational number in (0, 1), got {self.theta!r}")
 
     def resolved_eps(self) -> float:
         e0 = epsilon0(self.surface)
@@ -186,6 +212,7 @@ class TrajectoryResult:
     base_inside_clamps: int
     hit_tests: int  # per-cylinder hit tests made by the walk
     exact_hit_tests: int  # of those, the ones the float filter left to the exact comparison
+    exact_record_terms: int  # record terms taken in integers inside their bands (_build_record)
 
 
 def sample_theta(bits: int, rng: Random) -> Fraction:
@@ -380,8 +407,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         # user-supplied directions are exact rationals: no sampling
         # uncertainty, so no precision budget applies
         theta = Fraction(cfg.theta)
-        if not 0 < theta < 1:
-            raise ValueError(f"theta must be in (0, 1), got {theta}")
     else:
         # need ~2.89 T bits to separate theta from denominators up to
         # KAPPA e^T; round up generously.  A sample of den = 2^bits resolves
@@ -410,9 +435,10 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     clamps = 0
     hit_tests = 0
     exact_tests = 0
+    exact_terms = 0
 
     def test_candidate(p, q, A, B, node: Origami):
-        nonlocal clamps, hit_tests, exact_tests
+        nonlocal clamps, hit_tests, exact_tests, exact_terms
         tested.add((p, q))
         ratio = _ratio_top(abs(A), abs(B), norm_top)
         cylinders = states.cylinders(node)
@@ -426,7 +452,8 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
                 hit = 2 * abs(A) * abs(B) * h_w.numerator <= norm * h_w.denominator
             if not hit:
                 continue
-            rec = _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, cfg.T)
+            rec, terms = _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, cfg.T)
+            exact_terms += terms
             if rec is None:
                 continue
             if A != 0 and rec.t_entry == 0.0:  # crossings only
@@ -485,88 +512,190 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         base_inside_clamps=clamps,
         hit_tests=hit_tests,
         exact_hit_tests=exact_tests,
+        exact_record_terms=exact_terms,
     )
+
+
+def _float(f: float, e: int) -> float:
+    """f 2^e, or inf past the float range (the correctly rounded value)."""
+    try:
+        return math.ldexp(f, e)
+    except OverflowError:
+        return math.inf
+
+
+def _log_top(f: float, e: int) -> float:
+    """log(f 2^e) for f > 0: the log of f's frexp mantissa plus the exponent
+    times ln 2, so that no float overflows however large e is."""
+    mant, ex = math.frexp(f)
+    return math.log(mant) + (e + ex) * LN2
 
 
 def _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, T):
     """The record of the ray's visit to one horoball at p/q, or None if it
-    enters at or after T or crossed before the base.
+    enters at or after T or crossed before the base, together with the
+    number of the record's terms taken exactly in integers (the bands
+    below; ``TrajectoryResult.exact_record_terms`` sums them).
 
     Every quantity comes from three integers of the hit test, with h_w =
     hn / hd:
 
         g = norm hd,   k = 2 |A| B hn  (hit iff k <= g),   m = hn (A^2 + B^2).
 
-    With root = sqrt((g - k)(g + k)) the crossing times are u = e^{2t}:
+    With x = k / g, s = sqrt(1 - x^2) and gamma = g / m, the crossing times
+    u = e^{2t} are the roots u- <= u+ of P(u) = A^2 hn u^2 - g u + B^2 hn:
 
-        u- = 2 B^2 hn / (g + root),    u+ = (g + root) / (2 A^2 hn),
+        log u- = log(2 B^2 hn / g) - log1p(s),
+        log u+ = log(g / (2 A^2 hn)) + log1p(s),
 
-    the excursion is E = 2 root / k, and the twist is
+    the excursion is E = 2 s / x, and the twist is
 
-        tw = (2 weight / eps) sqrt(max(0, 4 (m - g)(m + g) g^2 - m^2 k^2)) / (m k),
+        tw = (2 weight / eps) sqrt(max(0, rho)) / x,   rho = 4 (1 - gamma^2) - x^2,
 
     the paper's twist in its angle form, with the sine of the ray's angle to
     the tangency written as k / m and that of the half opening of the cone
-    of entering directions as g / m (so the radicand is negative, and tw =
-    0, when m < g: the base lies inside the horoball).
+    of entering directions as g / m (rho < 0, and tw = 0, when m < g: the
+    base lies inside the horoball).  A == 0 is the rational terminal: the
+    ray ends at p/q, enters the horoball at u- = B^2 hn / g and never
+    leaves, so t_exit = inf and E = tw = 0.
 
-    One ``RECORD_PREC``-bit mpf pass evaluates these.  The differences
-    g -+ k and m -+ g are taken exactly in integers before rounding, so
-    grazing crossings (k close to g) and bases near the horoball (m close
-    to g) lose nothing to cancellation.  The radicand's outer difference
-    is taken in mpf: divided by 4 g^2 m^2 it is 1 - (g/m)^2 - (k/2g)^2,
-    whose last term is at most 1/4 (k <= g), so it loses more than one bit
-    only when g/m > 1/sqrt(2), a base close to the horoball.
+    Floats: all of these are evaluated from the ``_top`` floats and
+    exponents of |A|, B, hn, norm and hd, and no product of the integers is
+    formed.  x and the ratios under the two logs each take five truncated
+    tops and four roundings, as the hit filter's ratio does, so
+    (``_filter_verdict``) each is within relative error 10 u, u = 2^-53;
+    gamma, with the sum A^2 + B^2 in it, is within 11 u.  A log is
+    taken of the ratio's frexp mantissa and the exponent's multiple of ln 2
+    is added, so with math.log and math.log1p within one ulp (as glibc's
+    are) 2t carries an absolute error below 2^-45 (1 + |2t|) (the log1p(s)
+    term contributes at most 12 u / (s (1 + s)) + 2 u, at most 183 u
+    outside the band below).  So t is within 5e-14 max(1, |t|), and a time
+    whose 2t lies outside +-MARGIN has the sign of the exact one.  Three
+    terms cancel, and each is taken in floats only outside a band:
 
-    A == 0 is the rational terminal: the ray ends at p/q, enters the
-    horoball at u- = B^2 hn / g and never leaves, so t_exit = inf and
-    E = tw = 0.
+    * 1 - x^2, evaluated as (1 - x)(1 + x), has absolute error below 24 u;
+      below ``GRAZING_BAND`` (2^-8; a grazing crossing) it is taken as
+      ((g - k) / g) ((g + k) / g) from the exact integers, each quotient
+      correctly rounded.  Outside the band s is within relative 3074 u, so
+      E (one more division) is within 3086 u and E_area within 3087 u.
+    * rho, evaluated as 4 - 4 gamma^2 - x^2, has absolute error below
+      93 u + 25 u |rho|, which also covers 1 - gamma^2 at a base near the
+      horoball, as that difference enters only through rho; inside
+      +-``CONE_BAND`` (2^-6; the cone edge) it is the correctly rounded
+      quotient of the exact integers
+      4 g^2 (m - g)(m + g) - m^2 k^2 and (m g)^2.  Outside it the sign of
+      rho is certain and tw is within relative 3264 u.
+    * A time with |2t| <= MARGIN (the ray enters or leaves near the base;
+      on the terminal, B^2 hn near g) is decided and evaluated from the
+      exact integers (``_times_near_base``; on the terminal, 2t =
+      log1p((B^2 hn - g) / g)), so whether the record exists (u+ > 1) and
+      whether its entry is clamped to the base (u- <= 1) are the exact
+      answers.
+
+    So E, E_area and tw are within ``RECORD_ERROR`` = 2^-41 (4.5e-13)
+    relative of the exact values, and the times within 5e-14 max(1, |t|),
+    before the comparisons with T, which are made on the rounded times.  A
+    record whose E or tw overflows a float gets inf, as a correctly
+    rounded evaluation gives.
     """
     weight = circ * height / n
-    hn = h_w.numerator
-    g = norm * h_w.denominator
-    # mpf(n) rounds an integer to the working precision; a bare int operand
-    # enters mpf arithmetic exactly, and dividing by one of thousands of bits
-    # costs a long division
-    mpf = mpmath.mpf
-    with mpmath.mp.workprec(RECORD_PREC):
-        if A == 0:
-            u_entry = mpf(B * B * hn) / mpf(g)
-            t_entry = float(mpmath.log(u_entry) / 2) if u_entry > 1 else 0.0
-            if t_entry >= T:
-                return None
-            t_exit, E, tw = math.inf, 0, 0
-        else:
-            A2, B2 = A * A, B * B
-            k = 2 * abs(A) * abs(B) * hn
-            m = hn * (A2 + B2)
-            # g - k >= 0 exactly (the walk's hit test)
-            root = mpmath.sqrt(mpf(g - k) * mpf(g + k))
-            g_root = mpf(g) + root
-            u_minus = mpf(2 * B2 * hn) / g_root
-            u_plus = g_root / mpf(2 * A2 * hn)
-            if u_plus <= 1:
-                return None  # crossing happened before the base
-            t_entry = float(mpmath.log(u_minus) / 2) if u_minus > 1 else 0.0
-            if t_entry >= T:
-                return None
-            t_exit = float(mpmath.log(u_plus) / 2)
-            E = 2 * root / mpf(k)
-            mk = mpf(m) * mpf(k)
-            radicand = 4 * mpf(m - g) * mpf(m + g) * mpf(g) ** 2 - mk * mk
-            tw = 2 * mpf(weight) / eps * mpmath.sqrt(max(0, radicand)) / mk
-        return ExcursionRecord(
-            p=int(p),
-            q=int(q),
-            cyl_index=idx,
-            weight=weight,
-            t_entry=t_entry,
-            t_exit=t_exit,
-            E=float(E),
-            E_area=float(weight * E),
-            tw=float(tw),
-            complete=t_exit <= T,
-        )
+    hn, hd = h_w.numerator, h_w.denominator
+    B = abs(B)
+    fb, sb = _top(B)
+    fh, sh = _top(hn)
+    fn, sn = _top(norm)
+    fd, sd = _top(hd)
+    fg, sg = fn * fd, sn + sd  # g = norm hd
+    exact = 0
+    if A == 0:
+        two_t = _log_top(fb * fb * fh / fg, 2 * sb + sh - sg)  # log(B^2 hn / g)
+        if abs(two_t) <= MARGIN:
+            exact += 1
+            g = norm * hd
+            two_t = math.log1p((B * B * hn - g) / g)
+        t_entry = two_t / 2 if two_t > 0 else 0.0
+        if t_entry >= T:
+            return None, exact
+        t_exit, E, tw = math.inf, 0.0, 0.0
+    else:
+        a = abs(A)
+        fa, sa = _top(a)
+        xm, xe = 2 * fa * fb * fh / fg, sa + sb + sh - sg  # x = k / g
+        x = math.ldexp(xm, xe)
+        s2 = (1 - x) * (1 + x)
+        if s2 < GRAZING_BAND:
+            exact += 1
+            g, k = norm * hd, 2 * a * B * hn
+            x = xm = k / g
+            xe = 0
+            s2 = (g - k) / g * ((g + k) / g)
+        s = math.sqrt(s2)
+        log1p_s = math.log1p(s)
+        two_t_exit = _log_top(fg / (2 * fa * fa * fh), sg - 2 * sa - sh) + log1p_s
+        if two_t_exit < -MARGIN:
+            return None, exact  # crossing happened before the base
+        two_t_entry = _log_top(2 * fb * fb * fh / fg, 2 * sb + sh - sg) - log1p_s
+        if abs(two_t_exit) <= MARGIN or abs(two_t_entry) <= MARGIN:
+            exact += 1
+            times = _times_near_base(a, B, hn, norm * hd, s, two_t_exit, two_t_entry)
+            if times is None:
+                return None, exact
+            two_t_exit, two_t_entry = times
+        t_entry = two_t_entry / 2 if two_t_entry > 0 else 0.0
+        if t_entry >= T:
+            return None, exact
+        t_exit = two_t_exit / 2
+        E = _float(2 * s / xm, -xe)
+        e = max(sa, sb)
+        ab = math.ldexp(fa * fa, 2 * (sa - e)) + math.ldexp(fb * fb, 2 * (sb - e))
+        gamma = _float(fg / (fh * ab), sg - sh - 2 * e)  # g / m
+        rho = 4 - 4 * gamma * gamma - x * x
+        if abs(rho) < CONE_BAND:
+            exact += 1
+            g, k, m = norm * hd, 2 * a * B * hn, hn * (a * a + B * B)
+            rho = (4 * g * g * (m - g) * (m + g) - (m * k) ** 2) / (m * g) ** 2
+        tw = 2 * weight / eps * _float(math.sqrt(rho) / xm, -xe) if rho > 0 else 0.0
+    record = ExcursionRecord(
+        p=int(p),
+        q=int(q),
+        cyl_index=idx,
+        weight=weight,
+        t_entry=t_entry,
+        t_exit=t_exit,
+        E=E,
+        E_area=weight * E,
+        tw=tw,
+        complete=t_exit <= T,
+    )
+    return record, exact
+
+
+def _times_near_base(a, b, hn, g, s, two_t_exit, two_t_entry):
+    """(log u+, log u-) of a crossing with one of them within MARGIN of 0,
+    each such one decided and evaluated from exact integers, or None when
+    u+ <= 1 (no record).  ``s`` is the record's sqrt(1 - x^2).
+
+    u -+ = 1 + y, where y runs over the roots of P(1 + y) = a^2 hn y^2 -
+    w y + d, with d = m - g = P(1) and w = g - 2 a^2 hn (the vertex of P
+    lies at or below 1 iff w <= 0); its discriminant is g^2 s^2.  So
+    u+ <= 1 iff d >= 0 and w <= 0, and u- <= 1 (the entry is clamped to
+    the base) iff d <= 0 or w <= 0.  Otherwise log u = log1p(y), with y
+    in the form free of cancellation,
+
+        y- = 2 d / (w + g s),   y+ = (w + g s) / (2 a^2 hn)  (w >= 0)  or  2 d / (w - g s),
+
+    each integer divided by g before it is rounded.
+    """
+    a2 = 2 * a * a * hn
+    d, w = hn * (a * a + b * b) - g, g - a2
+    delta, omega = d / g, w / g
+    if abs(two_t_exit) <= MARGIN:
+        if d >= 0 and w <= 0:
+            return None
+        two_t_exit = math.log1p((omega + s) / (a2 / g) if w >= 0 else 2 * delta / (omega - s))
+    if abs(two_t_entry) <= MARGIN:
+        two_t_entry = math.log1p(2 * delta / (omega + s)) if d > 0 and w > 0 else 0.0
+    return two_t_exit, two_t_entry
 
 
 def _count_overlaps(records: Sequence[ExcursionRecord]) -> int:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import mpmath
@@ -260,6 +264,24 @@ def test_config_rejects_non_finite(field, value):
     kwargs = {"surface": TORUS, "T": 10.0, "seed": 1, field: value}
     with pytest.raises(ValueError, match=field):
         TrajectoryConfig(**kwargs)
+
+
+@pytest.mark.parametrize("theta", [0, 1, Fraction(3, 2), math.nan, math.inf, "one half"])
+def test_config_rejects_theta_outside_the_unit_interval_or_not_rational(theta):
+    # checked where the config is built, before any walk runs
+    with pytest.raises(ValueError, match="theta must be a rational number in"):
+        TrajectoryConfig(surface=TORUS, T=10.0, theta=theta)
+
+
+def test_import_leaves_mpmath_out():
+    # records are floats from the hit test's integers; mpmath is a test
+    # dependency only, and would be about half of the package's import time
+    src = str(Path(excursions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, cuspflow.excursions; print(sorted(m for m in sys.modules if 'mpmath' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_neighbour_table_words_and_nodes():

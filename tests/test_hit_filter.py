@@ -154,6 +154,8 @@ def test_near_tangency_goes_to_the_exact_test():
         assert result.exact_hit_tests == 1
         grazing = [r for r in result.records if (r.p, r.q) == (3, 8)]
         assert len(grazing) == int(hit)
+        # the grazing record's 1 - x^2 is taken exactly; no other term is
+        assert result.exact_record_terms == int(hit)
         if hit:
             assert 0 < grazing[0].E < 1e-6  # x just below 1
 

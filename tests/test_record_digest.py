@@ -1,11 +1,18 @@
-"""Records are pinned bit for bit on a small fixed grid.
+"""Records on a small fixed grid: the oracle's pinned bit for bit, the
+package's within the error bound its record builder derives.
 
-Each case hashes the repr of every record's fields and of the walk's
-coefficients, flags and counters.  The digests were taken from the
-record builder that went through the angles phi and phi_max (atan2,
-asin, then the twist's two sines), so a change to how records are
-computed that moves any float by one ulp fails here.  The record counts
-are asserted too, so an empty grid cannot pass.
+``test_records_bit_identical`` runs the walk with the high-precision
+oracle (``oracles.records.build_record``) in place of the package's record
+builder and hashes the repr of every record's fields and of the walk's
+coefficients, flags and counters.  The digests were taken from the record
+builder that went through the angles phi and phi_max (atan2, asin, then the
+twist's two sines), and the oracle reproduces them to the last bit.  The
+record counts are asserted too, so an empty grid cannot pass.
+
+``test_records_match_the_oracle`` compares the package's float records with
+the oracle's on the same grid: integer and boolean fields, the weight, the
+walk's counters and every clamp to the base are equal, and the float fields
+lie within the bounds stated in ``cuspflow.excursions``.
 """
 
 import hashlib
@@ -13,8 +20,10 @@ from fractions import Fraction
 
 import pytest
 
-from cuspflow.excursions import TrajectoryConfig, enumerate_excursions
+from cuspflow import excursions
+from cuspflow.excursions import RECORD_ERROR, TrajectoryConfig, enumerate_excursions
 from cuspflow.origami import TORUS, epsilon0, parse_origami
+from oracles.records import assert_matches_oracle, build_record
 
 L_ORIGAMI = parse_origami("3; (1 2); (1 3)")
 ORBIT8 = parse_origami("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)")
@@ -90,11 +99,37 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_records_bit_identical(case):
+def run(case, monkeypatch=None):
+    """The walk on one case; with ``monkeypatch``, records come from the oracle."""
     surface, T, seed, theta, eps_factor, count, sha = CASES[case]
+    if monkeypatch is not None:
+        monkeypatch.setattr(excursions, "_build_record", lambda *args: (build_record(*args), 0))
     eps = epsilon0(surface) * eps_factor
-    result = enumerate_excursions(TrajectoryConfig(surface=surface, T=T, seed=seed, theta=theta, eps=eps))
+    return enumerate_excursions(TrajectoryConfig(surface=surface, T=T, seed=seed, theta=theta, eps=eps))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_records_bit_identical(case, monkeypatch):
+    surface, T, seed, theta, eps_factor, count, sha = CASES[case]
+    result = run(case, monkeypatch)
     assert len(result.records) == count
     assert result.rational_terminal == (theta is not None)
     assert digest(result) == sha
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_records_match_the_oracle(case, monkeypatch):
+    result = run(case)
+    reference = run(case, monkeypatch)
+    assert len(result.records) == len(reference.records) == CASES[case][5]
+    for rec, ref in zip(result.records, reference.records):
+        assert_matches_oracle(rec, ref)
+    for field in ("coefficients", "rational_terminal", "overlap_pairs", "base_inside_clamps",
+                  "hit_tests", "exact_hit_tests"):
+        assert getattr(result, field) == getattr(reference, field), field
+    # no record on this grid comes near a band: every term is a float one
+    assert result.exact_record_terms == 0
+
+
+def test_record_error_bound_is_below_the_tolerance():
+    assert RECORD_ERROR <= 1e-12
