@@ -31,26 +31,32 @@ a direction (p, q) put
     A = q theta - p        (integer A_int / den)
     B = q + p theta        (integer B_int / den)
 
-Both evolve additively along mediants, so the walk is exact integer
-arithmetic.  With h_w = c^2 / (n eps) (one of n values, computed once per
-trajectory) the ray misses the horoball at p/q unless
-x = (2 A B h_w / (1 + theta^2))^2 <= 1, that is unless
+The walk carries (p, q, A_int) at the bracket's endpoints: each is linear
+in (p, q), so a node's entries are small-integer combinations of the
+endpoints' and the walk is exact integer arithmetic.  With h_w = c^2 /
+(n eps) (one of n values, computed once per trajectory) the ray misses
+the horoball at p/q unless x = (2 A B h_w / (1 + theta^2))^2 <= 1, that
+is unless
 
     R = 2 |A_int| B_int h_w / (num^2 + den^2) <= 1.
 
 The integers run to thousands of bits, so each cylinder's test is first
 put to a certified float filter (``_filter_verdict``).  It rebuilds R in
-floats from the top 62 bits of each integer, within relative error
-``FILTER_ERROR`` = 10 * 2^-53 (about 1.1e-15, derived in its docstring),
-and answers only when that float lies outside 1 +- ``MARGIN`` (1e-12):
-there its answer is the exact one.  Inside the band, where tangencies
-lie, the exact integer comparison decides, and
-``TrajectoryResult.exact_hit_tests`` counts those.  Every verdict is
-therefore exact.
+floats from the top 62 bits of A_int, p, q and of per-trajectory
+quotients: B_int = q den + p num = den (q + p theta) is a sum of two
+nonnegative terms, so its top follows from the tops of q, p and theta
+without cancellation, and B_int itself is not formed.  R is within
+relative error ``FILTER_ERROR`` = 10 * 2^-53 (about 1.1e-15, derived in
+its docstring), and the filter answers only when its float lies outside
+1 +- ``MARGIN`` (1e-12): there its answer is the exact one.  Inside the
+band, where tangencies lie, B_int = q den + p num is formed and the exact
+integer comparison decides, and ``TrajectoryResult.exact_hit_tests``
+counts those.  Every verdict is therefore exact.
 
 Each hit's record (``_build_record``) is a closed form in three integers
-of the hit test, g = norm hd, k = 2 |A_int| B_int hn and
-m = hn (A_int^2 + B_int^2) for h_w = hn / hd, but it is evaluated in
+of the hit test (B_int is formed exactly for it), g = norm hd,
+k = 2 |A_int| B_int hn and m = hn (A_int^2 + B_int^2) for h_w = hn / hd,
+but it is evaluated in
 floats from the same 62-bit tops, without forming those products: the
 ratios k / g and g / m and the ratios under the times' logs each carry a
 relative error of about 1e-15, and each log is taken on a normalised
@@ -76,6 +82,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
@@ -97,7 +104,7 @@ KAPPA = 4.0  # denominator horizon safety factor
 FILTER_ERROR = 10 * 2.0**-53
 MARGIN = 1e-12
 TOP_BITS = 62  # bits of each integer the filter keeps
-MAX_EXPONENT = 900  # filter exponents beyond this are decided by their sign
+MAX_EXPONENT = 800  # filter exponents beyond this are decided by their sign
 
 # The record builder (see ``_build_record``): float terms outside these
 # bands, exact integer ones inside, so E, E_area and tw are within relative
@@ -229,48 +236,76 @@ def _top(x: int) -> Tuple[float, int]:
     return float(x >> s if s >= 0 else x << -s), s
 
 
-def _ratio_top(a: int, b: int, norm_top: Tuple[float, int]) -> Tuple[float, int]:
-    """2 a b / norm as (m, e), ~ m 2^e, from the tops of a, b >= 0 and of
-    norm > 0 (``norm_top = _top(norm)``, taken once per trajectory)."""
-    fa, sa = _top(a)
-    fb, sb = _top(b)
-    return 2 * fa * fb / norm_top[0], sa + sb - norm_top[1]
+def _quotient_top(x: int, y: int) -> Tuple[float, int]:
+    """x / y > 0 as (f, s), ~ f 2^s with 1/2 <= f <= 2: f is 2^-TOP_BITS
+    times the float of floor(x / (y 2^(s - TOP_BITS))), an integer of
+    TOP_BITS or TOP_BITS + 1 bits."""
+    s = x.bit_length() - y.bit_length() - TOP_BITS
+    return float((x >> s if s >= 0 else x << -s) // y) * 2.0**-TOP_BITS, s + TOP_BITS
 
 
-def _fraction_top(h: Fraction) -> Tuple[float, int]:
-    """h > 0 as (f, s), ~ f 2^s, from the tops of its numerator and denominator."""
-    fn, sn = _top(h.numerator)
-    fd, sd = _top(h.denominator)
-    return fn / fd, sn - sd
+def _ratio_top(A: int, p: int, q: int, theta_top: Tuple[float, int]) -> Tuple[float, int]:
+    """|A| B / den = |A| (q + p theta) as (m, e), ~ m 2^e, for B = q den +
+    p num, p, q >= 0 not both 0, and ``theta_top = _quotient_top(num,
+    den)`` (taken once per trajectory); B itself is not formed.
+
+    The tops of A, q and p are taken as in ``_top`` (a negative A's
+    shift rounds its magnitude up, not down).  The two terms q and p theta
+    are nonnegative, and the one with the smaller exponent is shifted down
+    to the other's, so the sum neither cancels nor overflows.  A term
+    shifted below the float range (p theta under about 2^-1080 q, as at a
+    tiny theta) is rounded with an absolute error below 2^-1074 against a
+    sum of at least 2^60, and q = 0 (the 1/0 anchor) or p = 0 adds exactly
+    0.  So 2^121 <= m <= 2^126 for A != 0, and m = 0 for A = 0.
+    """
+    s = A.bit_length() - TOP_BITS
+    fa = abs(float(A >> s if s >= 0 else A << -s))
+    sq = q.bit_length() - TOP_BITS
+    fq = float(q >> sq if sq >= 0 else q << -sq)
+    sp = p.bit_length() - TOP_BITS
+    fp = float(p >> sp if sp >= 0 else p << -sp) * theta_top[0]  # p theta ~ fp 2^sp
+    sp += theta_top[1]
+    if q and (not p or sq >= sp):
+        return fa * (fq + math.ldexp(fp, sp - sq)), s + sq
+    return fa * (fp + math.ldexp(fq, sq - sp)), s + sp
 
 
 def _filter_verdict(ratio: Tuple[float, int], h_top: Tuple[float, int]) -> Optional[bool]:
     """Certified float verdict on the hit test 2 |A| B h_w <= norm.
 
-    ``ratio = _ratio_top(|A|, B, _top(norm))`` and ``h_top =
-    _fraction_top(h_w)``.  Returns True (hit) or False (miss) when that
-    verdict is certain, and None when the exact integer comparison must
-    decide.
+    ``ratio = _ratio_top(A, p, q, _quotient_top(num, den))``, which stands
+    for |A| B / den, and ``h_top = _quotient_top(2 den hn, norm hd)`` for
+    h_w = hn / hd, which stands for 2 den h_w / norm (one per circumference
+    and trajectory).  Returns True (hit) or False (miss) when that verdict
+    is certain, and None when the exact integer comparison must decide.
 
     Error bound: r = ldexp(m f_h, e) stands for R = 2 |A| B h_w / norm.
-    Five integers (|A|, B, norm and h_w's numerator and denominator) are
-    truncated to their top 62 bits, with relative error below t = 2^-61
-    each (shorter ones are shifted, exactly), and converted to float, with
-    error at most u = 2^-53 each (round to nearest).  Then come two
-    products (2 fa fb and m f_h) and two quotients (by f_norm, and
-    f_n / f_d), u each, and ldexp, which is exact: m f_h lies in
-    [2^60, 2^65] and |e| <= MAX_EXPONENT, so the result is a normal float.
-    Each of the 9 roundings and 5 truncations puts a factor within
-    [1 - u, 1/(1 - u)] or [1 - t, 1/(1 - t)] on r / R, so
+    With u = 2^-53 (round to nearest) and t = 2^-61, each truncation puts
+    a factor within [1 - t, 1/(1 - t)] on r / R (A, q and p cut to their
+    top 62 bits, and each ``_quotient_top`` floored to an integer of at
+    least 62 bits), and each rounding one within [1 - u, 1/(1 - u)]:
 
-        |r / R - 1| <= (1 - u)^-9 (1 - t)^-5 - 1 < 9.1 u < FILTER_ERROR = 10 u,
+    * q: one truncation and one conversion, (t, u);
+    * p theta: p (t, u), theta (t, u), their product (u), so (2t, 3u);
+    * B / den = q + p theta: a sum of two nonnegative terms carries the
+      worse of the two terms' factors, then one rounding, so (2t, 4u) (the
+      float-range loss of a shifted term is below 2^-1130 relative, far
+      inside the bound's slack);
+    * |A|: (t, u); the product m = f_A f_B: u;
+    * 2 den h_w / norm: (t, u), its integer products being exact;
+    * m f_h: u; ldexp is exact, as m f_h lies in [2^120, 2^127] and
+      |e| <= MAX_EXPONENT, so the result is a normal float.
+
+    That is 4 truncations and 8 roundings in all, so
+
+        |r / R - 1| <= (1 - u)^-8 (1 - t)^-4 - 1 < 8.1 u < FILTER_ERROR = 10 u,
 
     about 1.1e-15.  As FILTER_ERROR < MARGIN, r > 1 + MARGIN gives R > 1,
     a certain miss, and r < 1 - MARGIN gives R < 1, a certain hit; the
     band between, where tangencies (R = 1) lie, goes to the exact test.
     Exponents beyond +-MAX_EXPONENT (a tiny eps or an extreme theta) are
     decided before ldexp could overflow: e > MAX_EXPONENT puts R above
-    2^960, a miss, and e < -MAX_EXPONENT puts it below 2^-835, a hit.
+    2^920, a miss, and e < -MAX_EXPONENT puts it below 2^-673, a hit.
     A = 0, the rational terminal, is a hit (R = 0).
     """
     m = ratio[0] * h_top[0]
@@ -362,29 +397,32 @@ class _States:
 class _Interval:
     """Stern-Brocot bracket [L, R] around theta with the re-marked origami.
 
-    Each endpoint is a vector (p, q, A, B) with ``A = q num - p den`` and
-    ``B = q den + p num`` (exact integers): every entry is linear in (p, q),
-    so a node a R + b L is the same combination of the endpoint vectors.
-    ``Q = M^-1 . o`` for the bracket matrix M = [R | L] (columns).  The
-    node a R + b L has coordinates (a, b) in this basis, so its cylinder
-    structure in its own direction is the horizontal structure of
-    ``word . Q`` for its ``_NEIGHBOURS`` word.  Candidates carry the row of
-    that word, not the re-marked origami, and the trajectory's ``_States``
-    table turns (Q, row) into the re-marked state and its cylinders, each
-    built once per trajectory.
+    Each endpoint is a vector (p, q, A) with ``A = q num - p den`` (exact
+    integers): every entry is linear in (p, q), so a node a R + b L is the
+    same combination of the endpoint vectors.  B = q den + p num is not
+    carried: the hit filter reads its top from p, q and theta
+    (``_ratio_top``), and the walk forms it only for an exact comparison or
+    a record.  ``Q = M^-1 . o`` for the bracket matrix M = [R | L]
+    (columns).  The node a R + b L has coordinates (a, b) in this basis, so
+    its cylinder structure in its own direction is the horizontal structure
+    of ``word . Q`` for its ``_NEIGHBOURS`` word.  Candidates carry the row
+    of that word, not the re-marked origami, and the trajectory's
+    ``_States`` table turns (Q, row) into the re-marked state and its
+    cylinders, each built once per trajectory.
     """
 
-    L: Tuple[int, int, int, int]
-    R: Tuple[int, int, int, int]
+    L: Tuple[int, int, int]
+    R: Tuple[int, int, int]
     Q: Origami
 
     def candidates(self):
-        """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, A, B, row),
-        with ``row`` the node's index in ``_NEIGHBOURS``."""
-        pL, qL, AL, BL = self.L
-        pR, qR, AR, BR = self.R
+        """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, row), with
+        ``row`` the node's index in ``_NEIGHBOURS``; the walk forms a node's
+        A only once the node is worth testing."""
+        pL, qL, _ = self.L
+        pR, qR, _ = self.R
         for row, (a, b, _) in enumerate(_NEIGHBOURS):
-            yield a * pR + b * pL, a * qR + b * qL, a * AR + b * AL, a * BR + b * BL, row
+            yield a * pR + b * pL, a * qR + b * qL, row
 
     def step(self, j: int, leftward: bool, states: _States) -> "_Interval":
         """The bracket after j same-direction steps: L -> L + j R (M -> M T^j)
@@ -395,6 +433,12 @@ class _Interval:
         if leftward:
             return _Interval(tuple(x + j * y for x, y in zip(L, R)), R, states.move(Q, "T", -j))
         return _Interval(L, tuple(x + j * y for x, y in zip(R, L)), states.move(Q, "L", -j))
+
+
+def _run_steps(k: int):
+    """The steps j of a k-step run whose brackets the walk tests: the first
+    and the last K_RUN, each once, in increasing order."""
+    return chain(range(min(k, K_RUN)), range(max(K_RUN, k - K_RUN), k))
 
 
 def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
@@ -423,11 +467,12 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     # cap only needs to be generous
     q_bit_cap = int(math.ceil((cfg.T + math.log(KAPPA)) * 1.4426950408889634)) + 2
 
-    # hit thresholds h_w = c^2 / (n eps), one per circumference c, and
-    # their tops for the float filter
+    # hit thresholds h_w = c^2 / (n eps), one per circumference c, and the
+    # float filter's tops of theta and of 2 den h_w / norm
     thresholds = [None] + [Fraction(c * c, n) / eps_frac for c in range(1, n + 1)]
-    h_tops = [None] + [_fraction_top(h) for h in thresholds[1:]]
-    norm_top = _top(norm)
+    h_tops = [None] + [_quotient_top(2 * den * h.numerator, norm * h.denominator)
+                       for h in thresholds[1:]]
+    theta_top = _quotient_top(num, den)
 
     records: List[ExcursionRecord] = []
     tested = set()
@@ -437,21 +482,24 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     exact_tests = 0
     exact_terms = 0
 
-    def test_candidate(p, q, A, B, node: Origami):
+    def test_candidate(p, q, A, node: Origami):
         nonlocal clamps, hit_tests, exact_tests, exact_terms
         tested.add((p, q))
-        ratio = _ratio_top(abs(A), abs(B), norm_top)
+        ratio = _ratio_top(A, p, q, theta_top)
         cylinders = states.cylinders(node)
         hit_tests += len(cylinders)
+        B = 0  # q den + p num > 0, formed on first need
         for idx, (circ, height) in enumerate(cylinders):
             h_w = thresholds[circ]
             hit = _filter_verdict(ratio, h_tops[circ])
             if hit is None:
                 exact_tests += 1
+                B = B or q * den + p * num
                 # hit iff (2 A B h_w / (den^2 + num^2))^2 <= 1, exactly
-                hit = 2 * abs(A) * abs(B) * h_w.numerator <= norm * h_w.denominator
+                hit = 2 * abs(A) * B * h_w.numerator <= norm * h_w.denominator
             if not hit:
                 continue
+            B = B or q * den + p * num
             rec, terms = _build_record(p, q, idx, circ, height, A, B, h_w, norm, n, eps, cfg.T)
             exact_terms += terms
             if rec is None:
@@ -463,7 +511,7 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     # the initial bracket [0/1, 1/0]; its endpoints are the anchors: the
     # cusp at infinity (horizontal cylinders of o) and the tangency 0
     # (vertical cylinders)
-    bracket = _Interval((0, 1, num, den), (1, 0, -den, num), o)
+    bracket = _Interval((0, 1, num), (1, 0, -den), o)
     test_candidate(*bracket.R, o)
     test_candidate(*bracket.L, act_S_inv(o))
     runs: List[int] = []
@@ -479,7 +527,7 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
             rational_terminal = True
             runs[-1] += 1
             terminal = states.move(bracket.Q, "L", -1)
-            test_candidate(L[0] + R[0], L[1] + R[1], 0, L[3] + R[3], terminal)
+            test_candidate(L[0] + R[0], L[1] + R[1], 0, terminal)
             break
         if (L[1] + R[1]).bit_length() > q_bit_cap:
             break
@@ -490,11 +538,15 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         leftward = Am > 0  # theta above the mediant: left endpoint moves
         u, v = (L[2], -R[2]) if leftward else (-R[2], L[2])
         k = (u - 1) // v  # same-direction steps before the flip
-        for j in sorted(set(range(min(k, K_RUN))) | set(range(max(0, k - K_RUN), k))):
+        for j in _run_steps(k):
             iv = bracket.step(j, leftward, states)
-            for p, q, A, B, row in iv.candidates():
-                if A != 0 and (p, q) not in tested and q.bit_length() <= q_bit_cap:
-                    test_candidate(p, q, A, B, states.neighbour(iv.Q, row))
+            AL, AR = iv.L[2], iv.R[2]
+            for p, q, row in iv.candidates():
+                if (p, q) not in tested and q.bit_length() <= q_bit_cap:
+                    a, b, _ = _NEIGHBOURS[row]
+                    A = a * AR + b * AL
+                    if A:
+                        test_candidate(p, q, A, states.neighbour(iv.Q, row))
         runs.append(k)
         bracket = bracket.step(k, leftward, states)
 

@@ -13,8 +13,10 @@ from cuspflow import excursions
 from cuspflow.contfrac import PrecisionReal, cf_expand, convergent_pairs
 from cuspflow.excursions import (
     _NEIGHBOURS,
+    K_RUN,
     ExcursionRecord,
     TrajectoryConfig,
+    _run_steps,
     complete_records,
     enumerate_excursions,
     filter_excursions,
@@ -301,6 +303,16 @@ def test_neighbour_table_words_and_nodes():
             next_level += [(left, mid), (mid, right)]
         level = next_level
     assert [(a, b) for a, b, _ in _NEIGHBOURS] == nodes
+
+
+@pytest.mark.parametrize("k_run", [1, K_RUN])
+def test_run_steps_are_the_first_and_last_k_run(k_run, monkeypatch):
+    # the run's tested steps: the first and the last K_RUN of its k, each
+    # once and in order, on both sides of k = K_RUN and of k = 2 K_RUN
+    monkeypatch.setattr(excursions, "K_RUN", k_run)
+    for k in range(41):
+        want = sorted(set(range(min(k, k_run))) | set(range(max(0, k - k_run), k)))
+        assert list(_run_steps(k)) == want, k
 
 
 def _walk_fields(result):
