@@ -82,8 +82,14 @@ def convergent_pairs(coeffs: Iterable[int]):
 
 
 def trimmed_sum(values):
-    """Sum minus one occurrence of the maximum."""
+    """Sum of the values with one occurrence of the maximum left out.
+
+    The maximum is removed before summing, not subtracted after, so a
+    dominant maximum (or an infinite one) cannot cancel the rest.  The sum
+    is plain ``sum``: coefficients are ints that can pass the float range.
+    """
     values = list(values)
     if not values:
         raise ValueError("trimmed sum of an empty sequence")
-    return sum(values) - max(values)
+    values.remove(max(values))
+    return sum(values)

@@ -104,7 +104,6 @@ KAPPA = 4.0  # denominator horizon safety factor
 FILTER_ERROR = 10 * 2.0**-53
 MARGIN = 1e-12
 TOP_BITS = 62  # bits of each integer the filter keeps
-MAX_EXPONENT = 800  # filter exponents beyond this are decided by their sign
 
 # The record builder (see ``_build_record``): float terms outside these
 # bands, exact integer ones inside, so E, E_area and tw are within relative
@@ -160,8 +159,7 @@ class TrajectoryConfig:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not self.xi > 1:
-            raise ValueError(f"xi must be > 1, got {self.xi}")
+        xi_prime(self.xi)  # raises unless xi > 1
         if not self.s_xi >= 0:
             raise ValueError(f"s_xi must be >= 0, got {self.s_xi}")
         if not isinstance(self.surface, Origami):
@@ -236,6 +234,15 @@ def _top(x: int) -> Tuple[float, int]:
     return float(x >> s if s >= 0 else x << -s), s
 
 
+def _float(f: float, e: int) -> float:
+    """f 2^e, correctly rounded: inf past the float range, a subnormal or 0
+    below it.  The filter and the records leave the range to this rule."""
+    try:
+        return math.ldexp(f, e)
+    except OverflowError:
+        return math.inf
+
+
 def _quotient_top(x: int, y: int) -> Tuple[float, int]:
     """x / y > 0 as (f, s), ~ f 2^s with 1/2 <= f <= 2: f is 2^-TOP_BITS
     times the float of floor(x / (y 2^(s - TOP_BITS))), an integer of
@@ -279,7 +286,7 @@ def _filter_verdict(ratio: Tuple[float, int], h_top: Tuple[float, int]) -> Optio
     and trajectory).  Returns True (hit) or False (miss) when that verdict
     is certain, and None when the exact integer comparison must decide.
 
-    Error bound: r = ldexp(m f_h, e) stands for R = 2 |A| B h_w / norm.
+    Error bound: r = m f_h 2^e stands for R = 2 |A| B h_w / norm.
     With u = 2^-53 (round to nearest) and t = 2^-61, each truncation puts
     a factor within [1 - t, 1/(1 - t)] on r / R (A, q and p cut to their
     top 62 bits, and each ``_quotient_top`` floored to an integer of at
@@ -293,8 +300,7 @@ def _filter_verdict(ratio: Tuple[float, int], h_top: Tuple[float, int]) -> Optio
       inside the bound's slack);
     * |A|: (t, u); the product m = f_A f_B: u;
     * 2 den h_w / norm: (t, u), its integer products being exact;
-    * m f_h: u; ldexp is exact, as m f_h lies in [2^120, 2^127] and
-      |e| <= MAX_EXPONENT, so the result is a normal float.
+    * m f_h: u.
 
     That is 4 truncations and 8 roundings in all, so
 
@@ -303,20 +309,11 @@ def _filter_verdict(ratio: Tuple[float, int], h_top: Tuple[float, int]) -> Optio
     about 1.1e-15.  As FILTER_ERROR < MARGIN, r > 1 + MARGIN gives R > 1,
     a certain miss, and r < 1 - MARGIN gives R < 1, a certain hit; the
     band between, where tangencies (R = 1) lie, goes to the exact test.
-    Exponents beyond +-MAX_EXPONENT (a tiny eps or an extreme theta) are
-    decided before ldexp could overflow: e > MAX_EXPONENT puts R above
-    2^920, a miss, and e < -MAX_EXPONENT puts it below 2^-673, a hit.
-    A = 0, the rational terminal, is a hit (R = 0).
+    The float of r is ``_float``'s, the one range rule of the records too:
+    exact while normal, inf past the range (R > 2^1023, a miss), and under
+    2^-1022 below it (a hit; 0 when A = 0, the rational terminal).
     """
-    m = ratio[0] * h_top[0]
-    if m == 0:
-        return True
-    e = ratio[1] + h_top[1]
-    if e > MAX_EXPONENT:
-        return False
-    if e < -MAX_EXPONENT:
-        return True
-    r = math.ldexp(m, e)
+    r = _float(ratio[0] * h_top[0], ratio[1] + h_top[1])
     if r > 1 + MARGIN:
         return False
     if r < 1 - MARGIN:
@@ -566,14 +563,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         exact_hit_tests=exact_tests,
         exact_record_terms=exact_terms,
     )
-
-
-def _float(f: float, e: int) -> float:
-    """f 2^e, or inf past the float range (the correctly rounded value)."""
-    try:
-        return math.ldexp(f, e)
-    except OverflowError:
-        return math.inf
 
 
 def _log_top(f: float, e: int) -> float:

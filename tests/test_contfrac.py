@@ -160,6 +160,10 @@ def test_trimmed_sum_examples():
     assert trimmed_sum([5, 2, 9, 3]) == 10
     assert trimmed_sum([7]) == 0
     assert trimmed_sum([4, 4]) == 4
+    # a dominant maximum is left out, not subtracted: no cancellation
+    assert trimmed_sum([1.0, 1e20]) == 1.0
+    assert trimmed_sum([3.0, 1e17, 2.0]) == 5.0
+    assert trimmed_sum([1.0, math.inf]) == 1.0  # a twist past the float range
 
 
 def test_trimmed_sum_empty_raises():
@@ -176,3 +180,10 @@ def test_trimmed_sum_permutation_invariant(values, rnd):
     assert trimmed_sum(shuffled) == trimmed_sum(values)
     assert trimmed_sum(values) <= sum(values)
 
+
+@given(st.lists(st.floats(0, allow_infinity=False), max_size=30), st.floats(1, 2**64))
+def test_trimmed_sum_leaves_out_a_dominant_maximum(xs, factor):
+    # the maximum is removed, never subtracted: a maximum 2^60 times the
+    # rest leaves their plain sum, in the same order, bit for bit
+    m = 2**60 * max(xs + [1.0]) * factor
+    assert trimmed_sum(xs + [m]) == sum(xs)

@@ -23,7 +23,15 @@ from cuspflow.excursions import (
     sample_theta,
     xi_prime,
 )
-from cuspflow.origami import TORUS, cylinder_decomposition, epsilon0, parse_origami, word_matrix
+from cuspflow.origami import (
+    TORUS,
+    DisconnectedSurfaceError,
+    Origami,
+    cylinder_decomposition,
+    epsilon0,
+    parse_origami,
+    word_matrix,
+)
 from oracles.hyperbolic import (
     Horoball,
     UhpPoint,
@@ -260,12 +268,20 @@ def test_config_rejects_a_surface_that_is_not_an_origami():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("T", math.inf), ("T", math.nan), ("s_xi", math.nan)]
+    "field, value", [("T", math.inf), ("T", math.nan), ("s_xi", math.nan), ("xi", math.nan)]
 )
 def test_config_rejects_non_finite(field, value):
     kwargs = {"surface": TORUS, "T": 10.0, "seed": 1, field: value}
     with pytest.raises(ValueError, match=field):
         TrajectoryConfig(**kwargs)
+
+
+def test_walk_rejects_a_disconnected_surface():
+    # two squares, each glued to itself: the config takes any Origami, and
+    # the walk's own check refuses it before any hit test
+    cfg = TrajectoryConfig(surface=Origami(2, (0, 1), (0, 1)), T=10.0, seed=1)
+    with pytest.raises(DisconnectedSurfaceError, match="surface splits into 2 components"):
+        enumerate_excursions(cfg)
 
 
 @pytest.mark.parametrize("theta", [0, 1, Fraction(3, 2), math.nan, math.inf, "one half"])

@@ -8,6 +8,7 @@ leave the test to the exact comparison.
 """
 
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from cuspflow.excursions import (
     FILTER_ERROR,
     MARGIN,
-    MAX_EXPONENT,
     TrajectoryConfig,
     _filter_verdict,
     _quotient_top,
@@ -126,8 +126,8 @@ def test_filter_agrees_with_exact_comparison_on_random_integers():
 @pytest.mark.parametrize("A, B, h, norm, hit", [
     (0, 5, Fraction(4), 7, True),  # theta's own direction: R = 0
     (0, 1 << 9000, Fraction(2**1100 + 1, 3), 1, True),
-    (1, 1, Fraction(4), 1 << 3000, True),  # exponent far below -MAX_EXPONENT
-    (1 << 2000, 1 << 2000, Fraction(4), 1, False),  # far above +MAX_EXPONENT
+    (1, 1, Fraction(4), 1 << 3000, True),  # R ~ 2^-2997: ldexp gives 0
+    (1 << 2000, 1 << 2000, Fraction(4), 1, False),  # R ~ 2^4003: ldexp overflows
     (3, 5, Fraction(2**1100 + 1, 3), 1 << 40, False),  # huge h_w
     (3, 5, Fraction(3, 2**1100 + 1), 1 << 40, True),  # tiny h_w
 ])
@@ -139,18 +139,30 @@ def test_exponent_gaps_and_terminal_are_decided_exactly(A, B, h, norm, hit):
     assert _filter_verdict(ratio, _quotient_top(2 * h.numerator, norm * h.denominator)) is hit
 
 
+def ldexp_outcome(m, e):
+    """Where m 2^e falls in the float range."""
+    try:
+        r = math.ldexp(m, e)
+    except OverflowError:
+        return "overflow"
+    if r == 0:
+        return "zero"
+    return "subnormal" if r < sys.float_info.min else "normal"
+
+
 def test_exponents_just_inside_and_outside_the_ldexp_range():
-    # ratios R = 2^k and 2^-k whose filter exponents straddle
-    # +-MAX_EXPONENT (the mantissa m f_h lies in [2^120, 2^127]): every
-    # verdict is certain and exact.  p/q = 0/1 and theta = 1 give R = |A| h_w
-    straddled = set()
-    for k in range(MAX_EXPONENT - 200, MAX_EXPONENT + 200):
+    # ratios R = 2^k and 2^-k across the ends of the float range: the
+    # filter's float overflows, turns subnormal or rounds to 0 there, and
+    # every verdict is still certain and exact.  p/q = 0/1 and theta = 1
+    # give R = |A| h_w
+    outcomes = set()
+    for k in range(900, 1151):
         for A, h in ((1 << k, Fraction(1)), (1, Fraction(1, 1 << k))):
             assert exact_hit(A, 0, 1, 1, 1, h) is (A == 1)
             assert verdict(A, 0, 1, 1, 1, h) is (A == 1)
-            (_, e), (_, s_h) = tops(A, 0, 1, 1, 1, h)
-            straddled.add((e + s_h > 0, abs(e + s_h) > MAX_EXPONENT))
-    assert len(straddled) == 4
+            (m, e), (f_h, s_h) = tops(A, 0, 1, 1, 1, h)
+            outcomes.add(ldexp_outcome(m * f_h, e + s_h))
+    assert outcomes == {"normal", "overflow", "subnormal", "zero"}
 
 
 def test_relative_error_stays_below_the_stated_bound():
