@@ -17,9 +17,11 @@ the bracket's re-marked origami moves with it by one permutation power.
 Every re-marking and cylinder read goes through a table that lives for
 one trajectory (``_States``): a power is reduced modulo the order of its
 permutation, each (state, move) pair is built once and each labeled
-state's cylinders are read once, so a trajectory that meets few states
-(one on the torus, ten on the L-shaped surface) pays for them once and
-then only for dict lookups, however long it runs.  The loop ends at the
+state's cylinders are read once.  The walk holds each state as an int id
+of that table, and an ``Origami`` is built, validated and hashed only on
+a table miss, so a trajectory that meets few states (one on the torus,
+ten on the L-shaped surface) pays for them once and then only for dict
+lookups keyed by ints, however long it runs.  The loop ends at the
 denominator horizon, or when the bracket's own mediant is theta (A = 0
 below), the rational terminal: theta = p/q, the last run takes one more
 step onto it, and the same record builder makes the terminal records
@@ -338,55 +340,70 @@ _NEIGHBOURS = (
 
 
 class _States:
-    """The labeled origami states one trajectory meets, each read once.
+    """The labeled origami states one trajectory meets, numbered and read once.
 
     The walk moves its bracket's origami by T^m and L^m, with m of up to
     thousands of bits, but h^ord = id for ord the order of h (the lcm of
     its cycle lengths), so T^m = T^(m mod ord), and likewise L^m with the
     order of v.  A trajectory therefore meets only finitely many (state,
-    move) pairs, however long it runs.  Each is built (and validated) by
-    ``act_T``/``act_L`` the first time the walk meets it, each state's
-    horizontal cylinders are read by ``horizontal_cylinders`` the first
-    time, and every later visit is a dict lookup.  The table lives for one
-    call of ``enumerate_excursions``.
+    move) pairs, however long it runs.  The walk holds a state as an int:
+    ``id`` numbers each labeled state the first time it is met, and is the
+    one lookup keyed by an ``Origami``.  Each (state, move) pair is built
+    (and validated) by ``act_T``/``act_L`` the first time the walk meets
+    it, each state's horizontal cylinders are read by
+    ``horizontal_cylinders`` the first time, and every later visit is a
+    lookup keyed by ints, so an ``Origami`` is built and hashed only on a
+    miss.  The table lives for one call of ``enumerate_excursions``.
     """
 
     def __init__(self):
+        self._ids = {}  # Origami -> id
+        self._origamis = []  # id -> Origami
+        self._cylinders = []  # id -> its horizontal cylinders, None until read
         self._orders = {}  # permutation -> its order
-        self._moves = {}  # (state, tag, m mod order) -> state
-        self._neighbours = {}  # (state, _NEIGHBOURS row) -> re-marked state
-        self._cylinders = {}  # state -> its horizontal cylinders
+        self._moves = {}  # (id, tag, m mod order) -> id
+        self._neighbours = {}  # (id, _NEIGHBOURS row) -> id of the re-marked state
 
-    def move(self, o: Origami, tag: str, m: int) -> Origami:
-        """``act_T(o, m)`` for tag "T", ``act_L(o, m)`` for tag "L"."""
+    def id(self, o: Origami) -> int:
+        """The number of state ``o``: the next one the first time it is met."""
+        s = self._ids.setdefault(o, len(self._origamis))
+        if s == len(self._origamis):
+            self._origamis.append(o)
+            self._cylinders.append(None)
+        return s
+
+    def move(self, s: int, tag: str, m: int) -> int:
+        """The id of ``act_T(o, m)`` for tag "T", of ``act_L(o, m)`` for tag
+        "L", with ``o`` the state of id ``s``."""
+        o = self._origamis[s]
         perm = o.h if tag == "T" else o.v
         order = self._orders.get(perm)
         if order is None:
             order = self._orders[perm] = permutation_order(perm)
         m %= order
-        key = (o, tag, m)
+        key = (s, tag, m)
         out = self._moves.get(key)
         if out is None:
-            out = self._moves[key] = act_T(o, m) if tag == "T" else act_L(o, m)
+            out = self._moves[key] = self.id(act_T(o, m) if tag == "T" else act_L(o, m))
         return out
 
-    def neighbour(self, o: Origami, row: int) -> Origami:
-        """``o`` re-marked by the T/L word of ``_NEIGHBOURS[row]``, applied
-        left to right."""
-        key = (o, row)
+    def neighbour(self, s: int, row: int) -> int:
+        """The id of state ``s`` re-marked by the T/L word of
+        ``_NEIGHBOURS[row]``, applied left to right."""
+        key = (s, row)
         out = self._neighbours.get(key)
         if out is None:
-            out = o
+            out = s
             for tag, m in _NEIGHBOURS[row][2]:
                 out = self.move(out, tag, m)
             self._neighbours[key] = out
         return out
 
-    def cylinders(self, o: Origami) -> List[Tuple[int, int]]:
-        """``horizontal_cylinders(o)``."""
-        out = self._cylinders.get(o)
+    def cylinders(self, s: int) -> List[Tuple[int, int]]:
+        """``horizontal_cylinders`` of the state of id ``s``."""
+        out = self._cylinders[s]
         if out is None:
-            out = self._cylinders[o] = horizontal_cylinders(o)
+            out = self._cylinders[s] = horizontal_cylinders(self._origamis[s])
         return out
 
 
@@ -399,18 +416,19 @@ class _Interval:
     same combination of the endpoint vectors.  B = q den + p num is not
     carried: the hit filter reads its top from p, q and theta
     (``_ratio_top``), and the walk forms it only for an exact comparison or
-    a record.  ``Q = M^-1 . o`` for the bracket matrix M = [R | L]
-    (columns).  The node a R + b L has coordinates (a, b) in this basis, so
-    its cylinder structure in its own direction is the horizontal structure
-    of ``word . Q`` for its ``_NEIGHBOURS`` word.  Candidates carry the row
-    of that word, not the re-marked origami, and the trajectory's
-    ``_States`` table turns (Q, row) into the re-marked state and its
-    cylinders, each built once per trajectory.
+    a record.  ``Q`` is the ``_States`` id of ``M^-1 . o`` for the
+    bracket matrix M = [R | L] (columns).  The node a R + b L has
+    coordinates (a, b) in this basis, so its cylinder structure in its own
+    direction is the horizontal structure of ``word . Q`` for its
+    ``_NEIGHBOURS`` word.  Candidates carry the row of that word, not the
+    re-marked state, and the trajectory's ``_States`` table turns (Q, row)
+    into the re-marked state's id and its cylinders.  Every state is an
+    int here: an ``Origami`` exists only inside the table, built on a miss.
     """
 
     L: Tuple[int, int, int]
     R: Tuple[int, int, int]
-    Q: Origami
+    Q: int
 
     def candidates(self):
         """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, row), with
@@ -479,7 +497,7 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     exact_tests = 0
     exact_terms = 0
 
-    def test_candidate(p, q, A, node: Origami):
+    def test_candidate(p, q, A, node: int):
         nonlocal clamps, hit_tests, exact_tests, exact_terms
         tested.add((p, q))
         ratio = _ratio_top(A, p, q, theta_top)
@@ -508,9 +526,9 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     # the initial bracket [0/1, 1/0]; its endpoints are the anchors: the
     # cusp at infinity (horizontal cylinders of o) and the tangency 0
     # (vertical cylinders)
-    bracket = _Interval((0, 1, num), (1, 0, -den), o)
-    test_candidate(*bracket.R, o)
-    test_candidate(*bracket.L, act_S_inv(o))
+    bracket = _Interval((0, 1, num), (1, 0, -den), states.id(o))
+    test_candidate(*bracket.R, bracket.Q)
+    test_candidate(*bracket.L, states.id(act_S_inv(o)))
     runs: List[int] = []
     rational_terminal = False
 

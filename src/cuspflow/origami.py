@@ -187,6 +187,7 @@ def _parse_cycles(text: str, n: int, name: str):
         bad = _CYCLE_RE.sub("", stripped)
         raise ValueError(f"permutation {name}: unexpected token {bad!r} in {text!r}")
     perm = list(range(n))
+    seen = set()  # squares of the cycles so far (a fixed point leaves perm[x] == x)
     for body in _CYCLE_RE.findall(text):
         entries = [tok for tok in re.split(r"[,\s]+", body.strip()) if tok]
         cycle = []
@@ -201,8 +202,9 @@ def _parse_cycles(text: str, n: int, name: str):
         if len(set(cycle)) != len(cycle):
             raise ValueError(f"permutation {name}: repeated square in cycle ({body})")
         for idx, x in enumerate(cycle):
-            if perm[x] != x:
+            if x in seen:
                 raise ValueError(f"permutation {name}: square {x + 1} appears in two cycles")
+            seen.add(x)
             perm[x] = cycle[(idx + 1) % len(cycle)]
     return tuple(perm)
 

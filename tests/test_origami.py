@@ -60,6 +60,11 @@ def test_parse_rejects_bad_tokens():
         parse_origami("3; (1 x); (1 3)")
     with pytest.raises(ValueError, match="two cycles"):
         parse_origami("3; (1 2)(1 3); ()")
+    # a fixed point listed again: it leaves no mark in the permutation itself
+    with pytest.raises(ValueError, match="two cycles"):
+        parse_origami("2; (1)(1 2); ()")
+    with pytest.raises(ValueError, match="two cycles"):
+        parse_origami("3; (1)(1)(2 3); ()")
     with pytest.raises(ValueError, match="semicolons"):
         parse_origami("3; (1 2)")
     with pytest.raises(ValueError, match="not an integer"):

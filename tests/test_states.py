@@ -3,7 +3,8 @@
 It must give exactly what the origami layer gives (moves reduced modulo a
 permutation's order included), build each (state, move) pair and read
 each state's cylinders only once per trajectory, and keep nothing from one
-trajectory to the next.
+trajectory to the next.  The walk holds states as the table's int ids, so
+an ``Origami`` is hashed only when the table builds a new one.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ import cuspflow.excursions as excursions
 from cuspflow.excursions import _NEIGHBOURS, TrajectoryConfig, _States, enumerate_excursions
 from cuspflow.origami import (
     TORUS,
+    Origami,
     act_L,
     act_T,
     epsilon0,
@@ -52,23 +54,26 @@ def test_table_is_exact(surface, path, tag, r, row):
         o = ACT[t](o, m)
     order = permutation_order(o.h if tag == "T" else o.v)
     states = _States()
+    s = states.id(o)
     for m in (0, 1, -1, order, -order, 10**40 + r, -(10**40 + r)):
-        want = ACT[tag](o, m)
-        assert states.move(o, tag, m) == want
-        assert states.move(o, tag, m + order) == want  # a hit on the reduced key
+        moved = ACT[tag](o, m)
+        want = states.id(moved)
+        assert (want == s) == (moved == o)  # ids tell states apart
+        assert states.move(s, tag, m) == want
+        assert states.move(s, tag, m + order) == want  # a hit on the reduced key
     node = o
     for t, m in _NEIGHBOURS[row][2]:
         node = ACT[t](node, m)
-    assert states.neighbour(o, row) == node
-    assert states.cylinders(o) == horizontal_cylinders(o)
-    assert states.cylinders(node) == horizontal_cylinders(node)
+    assert states.neighbour(s, row) == states.id(node)
+    assert states.cylinders(s) == horizontal_cylinders(o)
+    assert states.cylinders(states.id(node)) == horizontal_cylinders(node)
 
 
 @pytest.fixture
 def misses(monkeypatch):
     """Counts of the table's calls into the origami layer, by name."""
     counts = {}
-    for name in ("act_T", "act_L", "horizontal_cylinders"):
+    for name in ("act_T", "act_L", "act_S_inv", "horizontal_cylinders"):
 
         def counted(*args, _name=name, _fn=getattr(excursions, name)):
             counts[_name] = counts.get(_name, 0) + 1
@@ -98,6 +103,31 @@ def test_l_misses_do_not_grow_with_T(misses):
 def test_no_state_outlives_its_trajectory(misses):
     first = _misses(misses, L_ORIGAMI, 100.0)
     assert _misses(misses, L_ORIGAMI, 100.0) == first
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """A one-element list: the count of ``Origami.__hash__`` calls."""
+    count = [0]
+    original = Origami.__hash__
+
+    def counted(self):
+        count[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(Origami, "__hash__", counted)
+    return count
+
+
+@pytest.mark.parametrize("T", (100.0, 400.0))
+@pytest.mark.parametrize("surface", SURFACES, ids=("torus", "L", "orbit8"))
+def test_walk_hashes_an_origami_only_when_it_builds_one(misses, hashes, surface, T):
+    # the walk carries int ids: an Origami is hashed when the table numbers
+    # a state it has just built (act_T, act_L, act_S_inv) and when
+    # epsilon0's cache is read, not on every lookup
+    hashes[0] = 0
+    built = _misses(misses, surface, T)
+    assert hashes[0] <= 2 * sum(built.get(name, 0) for name in ("act_T", "act_L", "act_S_inv"))
 
 
 # (surface, T, seed, theta, eps factor of epsilon0, hit tests): the counts
