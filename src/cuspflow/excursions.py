@@ -8,7 +8,12 @@ and the walk also tests the Stern-Brocot nodes up to depth two below it
 actually met).  The neighbourhood is the table ``_NEIGHBOURS``: one row
 per node a R + b L of the bracket [L, R], with the T/L word that turns
 the bracket's re-marked origami into the one whose horizontal cylinders
-are the cylinders in that direction.
+are the cylinders in that direction.  The brackets the walk tests lie on
+one path down the tree, so the nodes a bracket shares with those tested
+before it are its top levels, known from the number of steps since the
+last tested one (``_repeated_rows``).  The walk skips those rows and so
+tests each fraction once, without a set of tested fractions: such a set
+would hold thousands of big-int pairs and grow as T^2 in memory.
 
 The walk is one loop of runs.  Each run moves one endpoint of the
 bracket by the other, in one ``_Interval.step``, as often as theta stays
@@ -84,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
@@ -424,6 +429,9 @@ class _Interval:
     re-marked state, and the trajectory's ``_States`` table turns (Q, row)
     into the re-marked state's id and its cylinders.  Every state is an
     int here: an ``Origami`` exists only inside the table, built on a miss.
+    A bracket's first rows can repeat nodes of the bracket tested before
+    it; the walk skips them by their count (``_repeated_rows``), so
+    ``candidates`` yields every row and needs no memory of earlier brackets.
     """
 
     L: Tuple[int, int, int]
@@ -452,8 +460,34 @@ class _Interval:
 
 def _run_steps(k: int):
     """The steps j of a k-step run whose brackets the walk tests: the first
-    and the last K_RUN, each once, in increasing order."""
+    and the last K_RUN, each once, in increasing order.  Consecutive tested
+    brackets are then 1 step apart, or more across the untested middle of a
+    long run; that gap fixes how many of a bracket's rows were tested
+    already (``_repeated_rows``), so the walk keeps no set of them."""
     return chain(range(min(k, K_RUN)), range(max(K_RUN, k - K_RUN), k))
+
+
+def _repeated_rows(gap: int) -> int:
+    """How many leading ``_NEIGHBOURS`` rows of a bracket ``gap`` >= 1
+    elementary steps past the last tested bracket were nodes of a tested
+    bracket already: the walk skips them, and so tests each fraction once.
+
+    The rows are the Stern-Brocot subtree under the bracket's mediant to
+    depth D, in breadth-first order, so len(_NEIGHBOURS) = 2^(D+1) - 1 and
+    level l fills rows 2^l - 1 to 2^(l+1) - 2.  Each elementary step moves
+    the mediant to one of its children, so this bracket's mediant is a
+    depth-``gap`` descendant of the last tested one's, and its level l
+    was that bracket's level l + gap.  A fraction sits at one place in the
+    tree, so a node here was a node of the last tested bracket exactly
+    when l + gap <= D, that is in the first 2^(D+1-gap) - 1 rows, and none
+    beyond.  An older tested bracket's mediant lies higher up the same
+    path, so it shares only a part of those.  Whether a node is tested
+    depends on (p, q) alone (A = 0, the horizon), so the skipped rows were
+    each tested before or would be passed over again.  The anchors 1/0 and
+    0/1 are no bracket's nodes, and the first bracket (a ``gap`` past D)
+    skips nothing.
+    """
+    return max(((len(_NEIGHBOURS) + 1) >> gap) - 1, 0)
 
 
 def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
@@ -490,7 +524,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     theta_top = _quotient_top(num, den)
 
     records: List[ExcursionRecord] = []
-    tested = set()
     states = _States()
     clamps = 0
     hit_tests = 0
@@ -499,7 +532,6 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
 
     def test_candidate(p, q, A, node: int):
         nonlocal clamps, hit_tests, exact_tests, exact_terms
-        tested.add((p, q))
         ratio = _ratio_top(A, p, q, theta_top)
         cylinders = states.cylinders(node)
         hit_tests += len(cylinders)
@@ -531,6 +563,8 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
     test_candidate(*bracket.L, states.id(act_S_inv(o)))
     runs: List[int] = []
     rational_terminal = False
+    pos = 0  # elementary steps from the initial bracket to ``bracket``
+    last = -len(_NEIGHBOURS)  # the last tested bracket's pos + j: none yet, over D steps back
 
     while True:
         L, R = bracket.L, bracket.R
@@ -556,13 +590,17 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         for j in _run_steps(k):
             iv = bracket.step(j, leftward, states)
             AL, AR = iv.L[2], iv.R[2]
-            for p, q, row in iv.candidates():
-                if (p, q) not in tested and q.bit_length() <= q_bit_cap:
+            # rows this bracket shares with the ones tested before it
+            skip = _repeated_rows(pos + j - last)
+            last = pos + j
+            for p, q, row in islice(iv.candidates(), skip, None):
+                if q.bit_length() <= q_bit_cap:
                     a, b, _ = _NEIGHBOURS[row]
                     A = a * AR + b * AL
                     if A:
                         test_candidate(p, q, A, states.neighbour(iv.Q, row))
         runs.append(k)
+        pos += k
         bracket = bracket.step(k, leftward, states)
 
     records.sort(key=lambda r: (r.t_entry, r.t_exit))

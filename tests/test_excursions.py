@@ -2,12 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspflow import excursions
 from cuspflow.contfrac import PrecisionReal, cf_expand, convergent_pairs
@@ -16,6 +21,7 @@ from cuspflow.excursions import (
     K_RUN,
     ExcursionRecord,
     TrajectoryConfig,
+    _repeated_rows,
     _run_steps,
     complete_records,
     enumerate_excursions,
@@ -367,6 +373,95 @@ def test_fatou_candidates_give_the_same_walk(surface, monkeypatch):
         assert _walk_fields(enumerate_excursions(cfg)) == want, cfg
     assert any(records for records, *_ in full)
     assert any(terminal for _, _, terminal, *_ in full)
+
+
+# theta = [0; 33, 1, 34, 2, 32, 1, 33, 3, 40, 1, 1, 2, 33, 5]: with K_RUN =
+# 16 its runs of 33, 34 and 32 put gaps of 2, 3 and 1 steps between the
+# brackets tested at either end of the run
+GAP_THETA = Fraction(8413576303, 285824542277)
+
+
+@pytest.mark.parametrize(
+    "patch, gap_count, seed_count",
+    [("full", 845, 1811), ("k_run_2", 179, 814), ("fatou", 27, 133)],
+)
+def test_walk_tests_each_fraction_once(patch, gap_count, seed_count, monkeypatch):
+    # _ratio_top is called once per tested fraction (anchors and the
+    # terminal included); the counts were the same when the walk kept a
+    # set of tested fractions, so a rule that skips too few rows repeats
+    # one and a rule that skips too many loses some
+    if patch == "k_run_2":
+        monkeypatch.setattr(excursions, "K_RUN", 2)  # gap 2 on a run of 5
+    elif patch == "fatou":  # D = 0: nothing repeats, at any gap
+        monkeypatch.setattr(excursions, "_NEIGHBOURS", excursions._NEIGHBOURS[:1])
+        monkeypatch.setattr(excursions, "K_RUN", 1)
+    ratio_top = excursions._ratio_top
+    seen = []
+
+    def recorded(A, p, q, theta_top):
+        seen.append((p, q))
+        return ratio_top(A, p, q, theta_top)
+
+    monkeypatch.setattr(excursions, "_ratio_top", recorded)
+    for cfg, count in [
+        (TrajectoryConfig(surface=TORUS, T=60.0, theta=GAP_THETA), gap_count),
+        (TrajectoryConfig(surface=TORUS, T=100.0, seed=1), seed_count),
+    ]:
+        seen.clear()
+        enumerate_excursions(cfg)
+        assert len(seen) == len(set(seen)) == count, cfg
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@settings(max_examples=200, deadline=None)
+@given(
+    prefix=st.lists(st.booleans(), max_size=12),
+    steps=st.lists(st.booleans(), min_size=1, max_size=24),
+    gaps=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+)
+def test_repeated_rows_are_the_shared_nodes(depth, prefix, steps, gaps):
+    # pure integers: walk a Stern-Brocot bracket by elementary steps (True
+    # moves L to L + R, False R to R + L), test brackets at the given gaps,
+    # and find the nodes a R + b L each shares with all tested before it
+    rows = _NEIGHBOURS[: 2 ** (depth + 1) - 1]
+    L, R = (0, 1), (1, 0)
+    brackets = []
+    for leftward in prefix + steps:
+        brackets.append((L, R))
+        if leftward:
+            L = (L[0] + R[0], L[1] + R[1])
+        else:
+            R = (R[0] + L[0], R[1] + L[1])
+    brackets = brackets[len(prefix):]
+    earlier = set()
+    with mock.patch.object(excursions, "_NEIGHBOURS", rows):
+        for i, at in enumerate(accumulate([0] + gaps)):
+            if at >= len(brackets):
+                break
+            gap = gaps[i - 1] if i else len(rows)  # the first: none before, as in the walk
+            (pL, qL), (pR, qR) = brackets[at]
+            nodes = [(a * pR + b * pL, a * qR + b * qL) for a, b, _ in rows]
+            shared = [row for row, node in enumerate(nodes) if node in earlier]
+            assert shared == list(range(_repeated_rows(gap))), (at, gap)
+            earlier.update(nodes)
+
+
+@pytest.mark.parametrize("surface", [TORUS, L_ORIGAMI], ids=["torus", "L"])
+def test_walk_memory_grows_at_most_linearly_in_T(surface):
+    # the walk tests O(T) fractions of O(T) bits, so a set of them made the
+    # traced peak grow as T^2 (x6.3 on the torus and x7.7 on the L from T =
+    # 200 to 800); the walk itself holds a few brackets of O(T) bits, and
+    # its records, a small share of the fractions tested, add little
+    peaks = []
+    for T in (200.0, 800.0):
+        cfg = TrajectoryConfig(surface=surface, T=T, seed=1)
+        tracemalloc.start()
+        try:
+            enumerate_excursions(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 4 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

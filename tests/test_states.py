@@ -137,6 +137,13 @@ HIT_TESTS = {
     "torus": (TORUS, 100.0, 1, None, 0.5, 1811),
     "L": (L_ORIGAMI, 100.0, 1, None, 1.0, 3024),
     "L-rational": (L_ORIGAMI, 40.0, None, Fraction(68932786, 71636679), 1.0, 907),
+    "orbit8": (ORBIT8, 100.0, 1, None, 0.5, 4483),
+    # these four: hit_tests when the walk still kept a set of tested
+    # fractions.  theta = [0; 33, 1, 34, 2, 32, ...] puts gaps of 2, 3 and
+    # 1 steps between tested brackets (GAP_THETA in test_excursions.py)
+    "torus-gaps": (TORUS, 60.0, None, Fraction(8413576303, 285824542277), 0.5, 845),
+    "L-gaps": (L_ORIGAMI, 60.0, None, Fraction(8413576303, 285824542277), 0.5, 1394),
+    "orbit8-gaps": (ORBIT8, 60.0, None, Fraction(8413576303, 285824542277), 0.5, 2093),
 }
 
 
