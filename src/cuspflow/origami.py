@@ -136,26 +136,28 @@ class Origami:
             )
 
 
-def _orbit_components(h, v):
+def _reach(h, v, start):
+    """Breadth-first order of the squares reached from ``start`` along h and
+    v, and each square's position in it (None if not reached)."""
     # forward edges suffice: iterating a permutation walks its whole cycle,
     # so inverses are reachable
-    n = len(h)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in (h[x], v[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
+    order = [start]
+    pos = [None] * len(h)
+    pos[start] = 0
+    for x in order:  # grows while read
+        for y in (h[x], v[x]):
+            if pos[y] is None:
+                pos[y] = len(order)
+                order.append(y)
+    return order, pos
+
+
+def _orbit_components(h, v):
+    comps, seen = [], set()
+    for start in range(len(h)):
+        if start not in seen:
+            comps.append(sorted(_reach(h, v, start)[0]))
+            seen.update(comps[-1])
     return comps
 
 
@@ -216,9 +218,7 @@ def _parse_cycles(text: str, n: int, name: str):
 def corner_rotation(o: Origami):
     """sigma = v h v^-1 h^-1; its cycles are the vertex classes."""
     hinv, vinv = _inverse(o.h), _inverse(o.v)
-    step1 = _compose(vinv, hinv)
-    step2 = _compose(o.h, step1)
-    return _compose(o.v, step2)
+    return tuple(o.v[o.h[vinv[hinv[x]]]] for x in range(o.n))
 
 
 def stratum(o: Origami) -> Tuple[int, ...]:
@@ -406,21 +406,20 @@ BASE_POINTS = (
 )
 
 
-def _min_length_sq_at(o: Origami, x0: float, y0: float, cylinders: Dict) -> float:
-    """Shortest core length^2 at x0 + i y0; ``cylinders`` maps each direction
-    read so far to its decomposition and gains the ones read here."""
+def _min_length_sq_at(o: Origami, x0: float, y0: float, circumferences: Dict) -> float:
+    """Shortest core length^2 at x0 + i y0.  Length^2 grows as c^2, so only
+    a direction's narrowest cylinder can give it; ``circumferences`` maps
+    each direction read so far to that cylinder's circumference and gains
+    the ones read here."""
+    z0 = complex(x0, y0)
 
-    def decomposition(p, q):
-        out = cylinders.get((p, q))
-        if out is None:
-            out = cylinders[p, q] = cylinder_decomposition(o, (p, q))
-        return out
+    def length_sq(p, q):
+        c = circumferences.get((p, q))
+        if c is None:
+            c = circumferences[p, q] = cylinder_decomposition(o, (p, q))[-1].circumference
+        return flat_length_sq(o, (p, q), c, z0)
 
-    best = None
-    for p, q in ((1, 0), (0, 1)):
-        for cyl in decomposition(p, q):
-            val = flat_length_sq(o, (p, q), cyl.circumference, complex(x0, y0))
-            best = val if best is None else min(best, val)
+    best = min(length_sq(1, 0), length_sq(0, 1))
     # any shorter core needs |q z0 - p|^2 <= n y0 best, which bounds q and p
     qmax = int(math.isqrt(int(o.n * best / (y0 * y0)))) + 1
     for q in range(1, qmax + 1):
@@ -430,11 +429,8 @@ def _min_length_sq_at(o: Origami, x0: float, y0: float, cylinders: Dict) -> floa
         p_lo = math.floor(q * x0 - half_width)
         p_hi = math.ceil(q * x0 + half_width)
         for p in range(p_lo, p_hi + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            for cyl in decomposition(p, q):
-                val = flat_length_sq(o, (p, q), cyl.circumference, complex(x0, y0))
-                best = min(best, val)
+            if math.gcd(p, q) == 1:
+                best = min(best, length_sq(p, q))
     return best
 
 
@@ -444,8 +440,8 @@ def epsilon0(o: Origami) -> float:
     base point i and its six unimodular translates.  Each direction's
     cylinders are read once, for all seven base points."""
     o.validate()
-    cylinders = {}
-    return 0.5 * min(_min_length_sq_at(o, x0, y0, cylinders) for x0, y0 in BASE_POINTS)
+    circumferences = {}
+    return 0.5 * min(_min_length_sq_at(o, x0, y0, circumferences) for x0, y0 in BASE_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -454,40 +450,27 @@ def epsilon0(o: Origami) -> float:
 
 def canonical_key(o: Origami):
     """Label-independent key: lexicographic minimum over BFS relabelings."""
-    best = None
+    keys = []
     for start in range(o.n):
-        order = [start]
-        pos = {start: 0}
-        idx = 0
-        while idx < len(order):
-            x = order[idx]
-            idx += 1
-            for y in (o.h[x], o.v[x]):
-                if y not in pos:
-                    pos[y] = len(order)
-                    order.append(y)
+        order, pos = _reach(o.h, o.v, start)
         if len(order) < o.n:
             raise DisconnectedSurfaceError("cannot canonicalize a disconnected origami")
-        new_h = tuple(pos[o.h[order[i]]] for i in range(o.n))
-        new_v = tuple(pos[o.v[order[i]]] for i in range(o.n))
-        key = (new_h, new_v)
-        if best is None or key < best:
-            best = key
-    return best
+        keys.append((tuple(pos[o.h[x]] for x in order), tuple(pos[o.v[x]] for x in order)))
+    return min(keys)
 
 
 def sl2z_orbit(o: Origami) -> List[Origami]:
-    """The (finite) SL(2, Z) orbit of the origami, up to relabeling."""
+    """The (finite) SL(2, Z) orbit of the origami, up to relabeling.
+
+    Breadth-first under T and L alone: they generate SL(2, Z), and each
+    permutes the finite orbit, so its inverse is one of its powers."""
     o.validate()
-    seen = {canonical_key(o): o}
-    frontier = [o]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for img in (act_T(cur), act_T(cur, -1), act_S(cur), act_S_inv(cur)):
-                key = canonical_key(img)
-                if key not in seen:
-                    seen[key] = img
-                    nxt.append(img)
-        frontier = nxt
-    return list(seen.values())
+    seen = {canonical_key(o)}
+    orbit = [o]
+    for cur in orbit:  # grows while read
+        for img in (act_T(cur), act_L(cur)):
+            key = canonical_key(img)
+            if key not in seen:
+                seen.add(key)
+                orbit.append(img)
+    return orbit

@@ -47,9 +47,14 @@ from oracles.hyperbolic import (
     intersect,
     twist_count,
 )
+from oracles.sweep import sweep_records
 
 L_ORIGAMI = parse_origami("3; (1 2); (1 3)")
 ORBIT8 = parse_origami("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)")
+# a 6-square torus cover with n epsilon0 = 2: some direction has a cylinder
+# of circumference 1, so a hit needs only q |q theta - p| < 2 and Legendre's
+# theorem no longer makes every hit a convergent
+WITNESS6 = parse_origami("6; (1 4)(2 5)(3 6); (1 6 5 4 3 2)")
 
 
 def cf_value(coeffs):
@@ -375,6 +380,32 @@ def test_fatou_candidates_give_the_same_walk(surface, monkeypatch):
     assert any(terminal for _, _, terminal, *_ in full)
 
 
+def test_fatou_candidates_miss_records_on_a_witness(monkeypatch):
+    # where n eps > 1/2 the convergents and Fatou's mediants are not enough:
+    # on WITNESS6 at epsilon0, the patch above loses 11 of 239 records, each
+    # at (p_k - p_(k-1)) / (q_k - q_(k-1)) for consecutive convergents, a
+    # node the depth-two neighbourhood holds and any candidate set must keep
+    eps = epsilon0(WITNESS6)
+    assert WITNESS6.n * eps == 2
+    configs = [TrajectoryConfig(surface=WITNESS6, T=60.0, seed=seed, eps=eps) for seed in range(1, 21)]
+    full = [enumerate_excursions(cfg) for cfg in configs]
+    monkeypatch.setattr(excursions, "_NEIGHBOURS", excursions._NEIGHBOURS[:1])
+    monkeypatch.setattr(excursions, "K_RUN", 1)
+    total = lost_count = 0
+    for cfg, result in zip(configs, full):
+        want = {(r.p, r.q, r.cyl_index) for r in result.records}
+        got = {(r.p, r.q, r.cyl_index) for r in enumerate_excursions(cfg).records}
+        assert got <= want, cfg
+        theta = PrecisionReal(result.theta_num, result.theta_den)
+        convergents = [(0, 1)] + list(convergent_pairs(cf_expand(theta, 10**6).coeffs))
+        differences = {(p1 - p0, q1 - q0) for (p0, q0), (p1, q1) in zip(convergents, convergents[1:])}
+        for p, q, _ in want - got:
+            assert (p, q) in differences, (cfg, p, q)
+        total += len(want)
+        lost_count += len(want - got)
+    assert (total, lost_count) == (239, 11)
+
+
 # theta = [0; 33, 1, 34, 2, 32, 1, 33, 3, 40, 1, 1, 2, 33, 5]: with K_RUN =
 # 16 its runs of 33, 34 and 32 put gaps of 2, 3 and 1 steps between the
 # brackets tested at either end of the run
@@ -546,6 +577,33 @@ def test_sweep_against_float_kernel(surface, theta, eps_factor):
         assert engine[key].tw == pytest.approx(float(oracle_tw), rel=1e-9)
         if engine[key].t_entry > 0:
             assert engine[key].E == pytest.approx(excursion_exact(ray, ball), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "surface, T, bits, seeds, count",
+    [
+        (WITNESS6, 9.0, 64, 60, 100),
+        (parse_origami("4; (1 3)(2 4); (1 4 3 2)"), 7.0, 60, 30, 31),
+    ],
+    ids=["witness6", "witness4"],
+)
+def test_exact_sweep_on_a_witness(surface, T, bits, seeds, count):
+    # the walk against tests/oracles/sweep.py, which tries every q up to
+    # its bound and the p near q theta, at epsilon0 on two surfaces where
+    # a hit needs only q |q theta - p| < n eps = 2 or 1, so Legendre's
+    # theorem does not confine the hits to convergents; on WITNESS6, seeds
+    # 1-60 are the first to reach 100 records in all
+    eps = epsilon0(surface)
+    assert surface.n * eps > 0.5
+    total = 0
+    for seed in range(1, seeds + 1):
+        theta = Fraction(Random(seed).getrandbits(bits) | 1, 2**bits)
+        cfg = TrajectoryConfig(surface=surface, T=T, theta=theta, eps=eps)
+        walk = {(r.p, r.q, r.cyl_index) for r in enumerate_excursions(cfg).records}
+        swept = {(r.p, r.q, r.cyl_index) for r in sweep_records(surface, theta, eps, T)}
+        assert walk == swept, seed
+        total += len(swept)
+    assert total == count
 
 
 # ---------------------------------------------------------------------------

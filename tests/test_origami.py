@@ -409,6 +409,32 @@ def test_orbit_sizes():
     assert len(sl2z_orbit(L_ORIGAMI)) == 3
 
 
+@pytest.mark.parametrize(
+    "text, size, zeros",
+    [
+        ("4; (1 2 3); (1 4)", 9, (2,)),
+        ("5; (1 2 3 4); (1 5)", 18, (2,)),
+        ("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)", 1800, (4, 2)),
+        ("8; (1 2 3 4)(5 6 7 8); (1 5 3 7)(2 8 4 6)", 1, (1, 1, 1, 1)),
+        ("6; (1 4)(2 5)(3 6); (1 6 5 4 3 2)", 12, ()),
+        ("4; (1 3)(2 4); (1 4 3 2)", 6, ()),
+    ],
+    ids=["L4", "L5", "8-square", "EW", "witness6", "witness4"],
+)
+def test_orbit_catalogue(text, size, zeros):
+    # the larger L's, the 8-square bench surface, the Eierlegende
+    # Wollmilchsau and the two torus covers whose Legendre margin fails
+    orbit = sl2z_orbit(parse_origami(text))
+    assert len(orbit) == size
+    assert len({canonical_key(img) for img in orbit}) == size
+    assert {stratum(img) for img in orbit} == {zeros}
+
+
+def test_canonical_key_rejects_a_disconnected_origami():
+    with pytest.raises(DisconnectedSurfaceError, match="disconnected"):
+        canonical_key(Origami(3, (1, 0, 2), (0, 1, 2)))
+
+
 def test_orbit_elements_share_stratum():
     for img in sl2z_orbit(L_ORIGAMI):
         assert stratum(img) == (2,)
