@@ -14,6 +14,9 @@ before it are its top levels, known from the number of steps since the
 last tested one (``_repeated_rows``).  The walk skips those rows and so
 tests each fraction once, without a set of tested fractions: such a set
 would hold thousands of big-int pairs and grow as T^2 in memory.
+``_Interval.candidates`` returns the rows themselves, and the walk forms a
+node's integers from the bracket's endpoints only for the rows it tests:
+q first (the horizon), then A, then p for the hit test.
 
 The walk is one loop of runs.  Each run moves one endpoint of the
 bracket by the other, in one ``_Interval.step``, as often as theta stays
@@ -89,7 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
@@ -431,7 +434,9 @@ class _Interval:
     int here: an ``Origami`` exists only inside the table, built on a miss.
     A bracket's first rows can repeat nodes of the bracket tested before
     it; the walk skips them by their count (``_repeated_rows``), so
-    ``candidates`` yields every row and needs no memory of earlier brackets.
+    ``candidates`` returns every row and needs no memory of earlier
+    brackets.  It returns the rows, not the nodes: the walk forms a node's
+    p, q and A only for the rows it tests.
     """
 
     L: Tuple[int, int, int]
@@ -439,23 +444,22 @@ class _Interval:
     Q: int
 
     def candidates(self):
-        """The ``_NEIGHBOURS`` nodes of the bracket: yields (p, q, row), with
-        ``row`` the node's index in ``_NEIGHBOURS``; the walk forms a node's
-        A only once the node is worth testing."""
-        pL, qL, _ = self.L
-        pR, qR, _ = self.R
-        for row, (a, b, _) in enumerate(_NEIGHBOURS):
-            yield a * pR + b * pL, a * qR + b * qL, row
+        """The bracket's candidate rows, ``_NEIGHBOURS`` as it stands at the
+        call: row (a, b, word) is the node a R + b L.  The walk forms a
+        node's q, A and p from the endpoints only for the rows it tests."""
+        return _NEIGHBOURS
 
     def step(self, j: int, leftward: bool, states: _States) -> "_Interval":
         """The bracket after j same-direction steps: L -> L + j R (M -> M T^j)
         when ``leftward``, else R -> R + j L (M -> M L^j)."""
         if not j:
             return self
-        L, R, Q = self.L, self.R, self.Q
+        (pL, qL, AL), (pR, qR, AR), Q = self.L, self.R, self.Q
         if leftward:
-            return _Interval(tuple(x + j * y for x, y in zip(L, R)), R, states.move(Q, "T", -j))
-        return _Interval(L, tuple(x + j * y for x, y in zip(R, L)), states.move(Q, "L", -j))
+            L = (pL + j * pR, qL + j * qR, AL + j * AR)
+            return _Interval(L, self.R, states.move(Q, "T", -j))
+        R = (pR + j * pL, qR + j * qL, AR + j * AL)
+        return _Interval(self.L, R, states.move(Q, "L", -j))
 
 
 def _run_steps(k: int):
@@ -589,16 +593,19 @@ def enumerate_excursions(cfg: TrajectoryConfig) -> TrajectoryResult:
         k = (u - 1) // v  # same-direction steps before the flip
         for j in _run_steps(k):
             iv = bracket.step(j, leftward, states)
-            AL, AR = iv.L[2], iv.R[2]
-            # rows this bracket shares with the ones tested before it
-            skip = _repeated_rows(pos + j - last)
-            last = pos + j
-            for p, q, row in islice(iv.candidates(), skip, None):
+            (pL, qL, AL), (pR, qR, AR) = iv.L, iv.R
+            rows = iv.candidates()
+            # skip the rows this bracket shares with the ones tested before
+            # it; of the rest, q decides the horizon and A = 0 marks theta
+            # itself, so p is formed only for a node that is tested
+            for row in range(_repeated_rows(pos + j - last), len(rows)):
+                a, b, _ = rows[row]
+                q = a * qR + b * qL
                 if q.bit_length() <= q_bit_cap:
-                    a, b, _ = _NEIGHBOURS[row]
                     A = a * AR + b * AL
                     if A:
-                        test_candidate(p, q, A, states.neighbour(iv.Q, row))
+                        test_candidate(a * pR + b * pL, q, A, states.neighbour(iv.Q, row))
+            last = pos + j
         runs.append(k)
         pos += k
         bracket = bracket.step(k, leftward, states)

@@ -474,3 +474,18 @@ def sl2z_orbit(o: Origami) -> List[Origami]:
                 seen.add(key)
                 orbit.append(img)
     return orbit
+
+
+def c_area_exact(o: Origami) -> Fraction:
+    """F, the mean over the SL(2, Z) orbit of ``o`` (up to relabeling) of
+    the sum of height / circumference over its horizontal cylinders.
+
+    By Eskin, Kontsevich and Zorich (Publ. Math. IHES 120, 2014) the area
+    Siegel-Veech constant of the Teichmueller curve of ``o`` is
+    c_area = (3 / pi^2) F, so F is that constant exactly, up to the one
+    irrational factor: 1 on the torus, and 10/9 on every Teichmueller curve
+    in H(2), where Bainbridge's lambda_1 + lambda_2 = 4/3 holds."""
+    orbit = sl2z_orbit(o)
+    total = sum(Fraction(height, circ)
+                for img in orbit for circ, height in horizontal_cylinders(img))
+    return total / len(orbit)

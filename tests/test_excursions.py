@@ -443,6 +443,35 @@ def test_walk_tests_each_fraction_once(patch, gap_count, seed_count, monkeypatch
         assert len(seen) == len(set(seen)) == count, cfg
 
 
+@pytest.mark.parametrize(
+    "surface, theta, T, count",
+    [
+        (TORUS, GAP_THETA, 60.0, 207),
+        (TORUS, None, 100.0, 467),
+        (L_ORIGAMI, None, 100.0, 467),
+        (ORBIT8, None, 100.0, 467),
+    ],
+    ids=["gap", "torus", "L", "orbit8"],
+)
+def test_candidates_called_once_per_tested_bracket(surface, theta, T, count, monkeypatch):
+    # the benchmark's tracer counts nodes by wrapping _Interval.candidates
+    # as a plain function of the bracket, so the walk calls it with no
+    # argument once per tested bracket; the brackets depend only on theta,
+    # which seed 1 and T fix on every surface
+    candidates = excursions._Interval.candidates
+    calls = 0
+
+    def counted(iv):
+        nonlocal calls
+        calls += 1
+        return candidates(iv)
+
+    monkeypatch.setattr(excursions._Interval, "candidates", counted)
+    seed = None if theta else 1
+    enumerate_excursions(TrajectoryConfig(surface=surface, T=T, theta=theta, seed=seed))
+    assert calls == count
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2])
 @settings(max_examples=200, deadline=None)
 @given(
@@ -479,20 +508,24 @@ def test_repeated_rows_are_the_shared_nodes(depth, prefix, steps, gaps):
 
 @pytest.mark.parametrize("surface", [TORUS, L_ORIGAMI], ids=["torus", "L"])
 def test_walk_memory_grows_at_most_linearly_in_T(surface):
-    # the walk tests O(T) fractions of O(T) bits, so a set of them made the
-    # traced peak grow as T^2 (x6.3 on the torus and x7.7 on the L from T =
-    # 200 to 800); the walk itself holds a few brackets of O(T) bits, and
-    # its records, a small share of the fractions tested, add little
-    peaks = []
+    # the walk tests O(T) fractions of O(T) bits, so a set of them made its
+    # transient memory grow as T^2 (x7.8-8.3 from T = 200 to 800); the walk
+    # itself holds a few brackets of O(T) bits.  The transient is the traced
+    # peak less what is still traced at return, with the result held: the
+    # records carry p and q of O(T) bits, so the result alone grows faster
+    # than T, and allocations a first run makes once (caches, interned
+    # objects) would otherwise inflate whichever T runs first
+    transients = []
     for T in (200.0, 800.0):
         cfg = TrajectoryConfig(surface=surface, T=T, seed=1)
         tracemalloc.start()
         try:
-            enumerate_excursions(cfg)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            result = enumerate_excursions(cfg)
+            size, peak = tracemalloc.get_traced_memory()
+            transients.append(peak - size)
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 4 * peaks[0], peaks
+    assert transients[1] <= 4 * transients[0], transients
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -116,7 +115,7 @@ def test_unit_speed_exact_tolerance_grid():
     # the spec's 1e-12 absolute tolerance for t <= 30 on concrete rays
     for endpoint in (math.inf, 0.0, 1.0, -2.5):
         ray = geodesic_ray(UhpPoint(0.25, 1.5), endpoint)
-        for t in np.linspace(0.0, 30.0, 61):
+        for t in [30.0 * i / 60 for i in range(61)]:
             assert abs(dist(ray.base, ray.point_at(t)) - t) < 1e-12 * max(1.0, t)
 
 
@@ -224,8 +223,8 @@ def test_excursion_against_quadrature_oracle():
     # horocycle and integrate the path metric |dz|/y numerically
     h = 0.5
     x_entry, x_exit = -math.sqrt(1 - h * h), math.sqrt(1 - h * h)
-    xs = np.linspace(x_entry, x_exit, 20001)
-    oracle = np.trapezoid(np.full_like(xs, 1 / h), xs)
+    xs = [x_entry + (x_exit - x_entry) * i / 20000 for i in range(20001)]
+    oracle = math.fsum((b - a) * (1 / h + 1 / h) / 2 for a, b in zip(xs, xs[1:]))
     base = _point_on_circle(0.0, 1.0, 2.95)
     assert base.y < h
     ray = geodesic_ray(base, 1.0)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from cuspflow.origami import (
     act_S_inv,
     act_T,
     apply_word,
+    c_area_exact,
     canonical_key,
     corner_rotation,
     cylinder_decomposition,
@@ -428,6 +430,66 @@ def test_orbit_catalogue(text, size, zeros):
     assert len(orbit) == size
     assert len({canonical_key(img) for img in orbit}) == size
     assert {stratum(img) for img in orbit} == {zeros}
+
+
+@pytest.mark.parametrize(
+    "text, size, F",
+    [
+        ("1; (1); (1)", 1, Fraction(1)),
+        ("3; (1 2); (1 3)", 3, Fraction(10, 9)),
+        ("4; (1 2 3); (1 4)", 9, Fraction(10, 9)),
+        ("5; (1 2 3 4); (1 5)", 18, Fraction(10, 9)),
+        ("8; (1 2 3 4 5 6 7 8); (1 3)(2 5)(4 7)", 1800, Fraction(59, 45)),
+        ("8; (1 2 3 4)(5 6 7 8); (1 5 3 7)(2 8 4 6)", 1, Fraction(1, 2)),
+        ("6; (1 4)(2 5)(3 6); (1 6 5 4 3 2)", 12, Fraction(1)),
+        ("4; (1 3)(2 4); (1 4 3 2)", 6, Fraction(1)),
+    ],
+    ids=["torus", "L3", "L4", "L5", "8-square", "EW", "witness6", "witness4"],
+)
+def test_c_area_exact_catalogue(text, size, F):
+    # c_area = (3 / pi^2) F (Eskin-Kontsevich-Zorich); F is the orbit mean
+    # of sum height / circumference over the horizontal cylinders
+    o = parse_origami(text)
+    assert len(sl2z_orbit(o)) == size
+    assert c_area_exact(o) == F
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_c_area_exact_is_10_9_on_every_h2_orbit():
+    # every connected origami of n <= 6 squares is, up to relabeling, one
+    # with h of a fixed permutation per cycle type; those in H(2) fall in
+    # six orbits, the non-primitive ones (covers of a larger torus) included,
+    # and all share Bainbridge's lambda_1 + lambda_2 = 4/3, so F = 10/9
+    sizes = {}
+    for n in range(3, 7):
+        seen = set()
+        for parts in _partitions(n):
+            h, start = [0] * n, 0
+            for length in parts:
+                for i in range(length):
+                    h[start + i] = start + (i + 1) % length
+                start += length
+            for v in permutations(range(n)):
+                o = Origami(n, tuple(h), v)
+                try:
+                    key = canonical_key(o)
+                except DisconnectedSurfaceError:
+                    continue
+                if key in seen or stratum(o) != (2,):
+                    continue
+                orbit = sl2z_orbit(o)
+                seen.update(canonical_key(img) for img in orbit)
+                sizes.setdefault(n, []).append(len(orbit))
+                assert c_area_exact(o) == Fraction(10, 9), o
+    assert {n: sorted(s) for n, s in sizes.items()} == {3: [3], 4: [9], 5: [9, 18], 6: [3, 6, 36]}
 
 
 def test_canonical_key_rejects_a_disconnected_origami():
